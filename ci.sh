@@ -14,6 +14,10 @@
 # tools/bench_diff (deterministic fields gate exactly; see
 # tools/bench_baseline/README.md).
 #
+# The last line names the analysis engines that actually ran (sanitizers,
+# Clang thread-safety analysis, clang-tidy), so a green run on a GCC-only
+# image is not read as having covered the Clang-only ones.
+#
 # Usage: ./ci.sh [preset]   (default: asan-ubsan; try `tsan` or `checked`)
 set -eu
 
@@ -76,8 +80,10 @@ if [ -n "$clang_tidy" ]; then
   echo "ci: clang-tidy gate using $clang_tidy ($("$clang_tidy" --version | head -n 1))"
   find src -name '*.cpp' | sort | \
     xargs "$clang_tidy" -p "$build_dir" --quiet --warnings-as-errors='*'
+  tidy_engine="used ($clang_tidy)"
 elif [ "${CI_ALLOW_MISSING_CLANG_TIDY:-0}" = "1" ]; then
   echo "ci: WARNING: clang-tidy not found; gate skipped because CI_ALLOW_MISSING_CLANG_TIDY=1" >&2
+  tidy_engine="skipped (not found)"
 else
   echo "ci: ERROR: no clang-tidy on PATH (tried CLANG_TIDY, clang-tidy-19/-18/-17, clang-tidy)." >&2
   echo "ci: install one, set CLANG_TIDY=/path/to/clang-tidy, or opt out explicitly with CI_ALLOW_MISSING_CLANG_TIDY=1" >&2
@@ -188,4 +194,14 @@ cp "$churn_dir/bench_diff.txt" "$artifact_dir/churn_bench_diff.txt"
 cp "$par_dir/bench.json" "$artifact_dir/BENCH_fig6b_capacity_smoke.json"
 echo "ci: artifacts: $artifact_dir/BENCH_fig5_overhead.json $artifact_dir/chrome_trace.json $artifact_dir/bench_diff.txt"
 
+# Which analysis engines actually ran. Sanitizers come from the configured
+# cache; thread-safety analysis counts as on only if -Wthread-safety reached
+# the compile commands (CMake adds it for Clang only).
+sanitizers=$(sed -n 's/^SCION_MPR_SANITIZE:STRING=//p' "$build_dir/CMakeCache.txt")
+if grep -q -- '-Wthread-safety' "$build_dir/compile_commands.json"; then
+  tsa_engine="on"
+else
+  tsa_engine="off (compiler is not Clang)"
+fi
 echo "ci: $preset build, tests, simlint (determinism + layering + hot-path cost + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gate, and telemetry artifacts all green"
+echo "ci: engines: preset=$preset sanitizers=${sanitizers:-none} thread-safety-analysis=$tsa_engine clang-tidy=$tidy_engine"

@@ -247,8 +247,16 @@ class Parser {
       return std::nullopt;
     }
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        return std::nullopt;
+      }
+      ++depth_;
+      std::optional<JsonValue> v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       auto s = parse_string();
       if (!s) return std::nullopt;
@@ -323,6 +331,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_{0};
+  std::size_t depth_{0};  // open objects/arrays enclosing pos_
   std::string error_;
 };
 

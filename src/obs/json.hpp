@@ -8,6 +8,7 @@
 // parser rejects anything the writer cannot produce.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -98,8 +99,15 @@ struct JsonValue {
   const JsonValue* find(std::string_view key) const;
 };
 
+/// Deepest object/array nesting parse_json accepts. The parser recurses
+/// once per level, so the bound keeps hostile input (bench_diff and
+/// obs_check read files from outside the program) from overflowing the
+/// stack; reports emitted by this library nest fewer than 10 levels.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parses one JSON document (must consume all non-whitespace input).
-/// Returns nullopt and fills `error` (if given) on malformed input.
+/// Returns nullopt and fills `error` (if given) on malformed input or
+/// nesting deeper than kMaxJsonDepth.
 std::optional<JsonValue> parse_json(std::string_view text,
                                     std::string* error = nullptr);
 

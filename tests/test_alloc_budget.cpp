@@ -3,9 +3,9 @@
 // analyzer).
 //
 // Each gate runs a small fixed-seed micro-run of one simulation pipeline,
-// measures operator-new calls with the SCION_MPR_ALLOC_TRACK counting
-// allocator, and divides by the run's event count (PCBs received, BGP
-// updates sent, ...). Allocation counts — unlike wall times — are
+// measures operator-new calls with the counting allocator
+// (obs/alloc_track.hpp), and divides by the run's event count (PCBs
+// received, BGP updates sent, ...). Allocation counts — unlike wall times — are
 // deterministic for a fixed seed, so the budgets below gate hard: a change
 // that adds per-event allocations to a hot loop fails here with the exact
 // per-event figure in the message.
@@ -92,9 +92,6 @@ topo::Topology multi_isd_world() {
 // --- Gates -----------------------------------------------------------------------
 
 TEST(AllocBudget, CountingAllocatorSeesThisThreadsAllocations) {
-  if (!obs::alloc_tracking_enabled()) {
-    GTEST_SKIP() << "SCION_MPR_ALLOC_TRACK is off";
-  }
   const auto [allocs, bytes] = count_allocs([] {
     auto block = std::make_unique<char[]>(4096);
     // Defeat any heroic dead-allocation elimination.
@@ -106,9 +103,6 @@ TEST(AllocBudget, CountingAllocatorSeesThisThreadsAllocations) {
 }
 
 TEST(AllocBudget, BeaconingStaysWithinBudget) {
-  if (!obs::alloc_tracking_enabled()) {
-    GTEST_SKIP() << "SCION_MPR_ALLOC_TRACK is off";
-  }
   const topo::Topology world = beaconing_world();
   ctrl::BeaconingSimConfig config;
   config.server.interval = Duration::minutes(10);
@@ -127,9 +121,6 @@ TEST(AllocBudget, BeaconingStaysWithinBudget) {
 }
 
 TEST(AllocBudget, ControlPlaneStaysWithinBudget) {
-  if (!obs::alloc_tracking_enabled()) {
-    GTEST_SKIP() << "SCION_MPR_ALLOC_TRACK is off";
-  }
   const topo::Topology world = multi_isd_world();
   svc::ControlPlaneSimConfig config;
   config.sim_duration = Duration::minutes(30);
@@ -155,9 +146,6 @@ TEST(AllocBudget, ControlPlaneStaysWithinBudget) {
 }
 
 TEST(AllocBudget, BgpStaysWithinBudget) {
-  if (!obs::alloc_tracking_enabled()) {
-    GTEST_SKIP() << "SCION_MPR_ALLOC_TRACK is off";
-  }
   const topo::Topology world = multi_isd_world();
   bgp::BgpSimConfig config;
   config.convergence_window = Duration::minutes(10);
@@ -176,9 +164,6 @@ TEST(AllocBudget, BgpStaysWithinBudget) {
 }
 
 TEST(AllocBudget, ChurnSurvivalMechanismsStayWithinBudget) {
-  if (!obs::alloc_tracking_enabled()) {
-    GTEST_SKIP() << "SCION_MPR_ALLOC_TRACK is off";
-  }
   const topo::Topology world = multi_isd_world();
   bgp::BgpSimConfig config;
   config.convergence_window = Duration::minutes(10);
@@ -260,7 +245,6 @@ TEST(AllocBudget, ExceededBudgetNamesTopAllocatingEventLabels) {
   const std::string& msg = r.message;
   ASSERT_NE(msg.find("top allocating event labels:"), std::string::npos)
       << msg;
-#ifdef SCION_MPR_OBS_ENABLED
   const auto heavy_at = msg.find("test.budget_heavy (500 allocs)");
   const auto mid_at = msg.find("test.budget_mid (200 allocs)");
   const auto light_at = msg.find("test.budget_light (100 allocs)");
@@ -271,13 +255,9 @@ TEST(AllocBudget, ExceededBudgetNamesTopAllocatingEventLabels) {
   EXPECT_LT(mid_at, light_at) << msg;
   // Top-3 means the fourth-heaviest label stays out of the message.
   EXPECT_EQ(msg.find("test.budget_spare"), std::string::npos) << msg;
-#endif
 }
 
 TEST(AllocBudget, RealRunExceedsZeroBudget) {
-  if (!obs::alloc_tracking_enabled()) {
-    GTEST_SKIP() << "SCION_MPR_ALLOC_TRACK is off";
-  }
   // An impossible budget of 0 allocs/event must trip on any real run,
   // proving the gate is live (not vacuously green).
   const auto [allocs, bytes] = count_allocs([] {

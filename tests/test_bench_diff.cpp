@@ -23,7 +23,7 @@ namespace {
 // one value changed".
 constexpr const char* kBaseDoc = R"({
   "name": "fig5_overhead",
-  "manifest": {"obs_enabled": true, "jobs": 1},
+  "manifest": {"jobs": 1},
   "scalars": {"beacons": 120, "lookups": 7235},
   "metrics": {"counters": {"pcbs_received": 500, "updates_sent": 80}},
   "phases": [
@@ -203,20 +203,6 @@ TEST(BenchDiff, MissingLabelFailsNewLabelWarns) {
   const DiffEntry* added = find_metric(r, "events.bgp.flap");
   ASSERT_NE(added, nullptr);
   EXPECT_EQ(added->severity, DiffSeverity::kWarn);
-}
-
-TEST(BenchDiff, ObsDisabledSkipsObsSectionsWithWarning) {
-  const obs::JsonValue base = parse(kBaseDoc);
-  const obs::JsonValue cur = parse(
-      replaced(kBaseDoc, "\"obs_enabled\": true", "\"obs_enabled\": false"));
-  const DiffReport r = diff_bench_docs(base, cur);
-  EXPECT_FALSE(r.failed());
-  EXPECT_EQ(r.warnings, 1u);
-  const DiffEntry* e = find_metric(r, "metrics");
-  ASSERT_NE(e, nullptr);
-  EXPECT_NE(e->note.find("skipping"), std::string::npos);
-  // Scalars still compared exactly; obs-gated sections were not.
-  EXPECT_EQ(find_metric(r, "counters.pcbs_received"), nullptr);
 }
 
 TEST(BenchDiff, DifferentBenchNamesRefuseToCompare) {

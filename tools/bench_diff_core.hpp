@@ -10,8 +10,6 @@
 //   - wall-time fields only warn unless --wall-tolerance is given, because
 //     wall time is machine-dependent and must never fail a deterministic
 //     gate by default.
-// Sections that only exist under SCION_MPR_OBS=ON (metrics, phases,
-// event_profile) are skipped when either manifest says obs_enabled=false.
 #pragma once
 
 #include <cmath>
@@ -175,13 +173,6 @@ inline double num_or(const obs::JsonValue* obj, const char* key,
   return v != nullptr && v->is_number() ? v->as_number() : fallback;
 }
 
-inline bool obs_enabled(const obs::JsonValue& doc) {
-  const obs::JsonValue* manifest = doc.find("manifest");
-  if (manifest == nullptr) return true;
-  const obs::JsonValue* flag = manifest->find("obs_enabled");
-  return flag == nullptr || !flag->is_bool() || flag->as_bool();
-}
-
 }  // namespace diff_detail
 
 /// Diffs a baseline and a current bench document. Both must be parsed
@@ -207,14 +198,6 @@ inline DiffReport diff_bench_docs(const obs::JsonValue& baseline,
                   current.find("scalars"),
                   [](DiffReport& rep, const std::string& m, double b,
                      double c) { diff_exact(rep, m, b, c); });
-
-  // Obs-gated sections: counters, phases and the event profile only carry
-  // data when the build/run had observability on.
-  if (!obs_enabled(baseline) || !obs_enabled(current)) {
-    r.add(DiffSeverity::kWarn, "metrics", "-", "-",
-          "obs disabled in a manifest; skipping counters/phases/events");
-    return r;
-  }
 
   // Metrics counters are deterministic event tallies. Exact.
   const obs::JsonValue* base_metrics = baseline.find("metrics");
