@@ -3,6 +3,8 @@
 // per-operation costs behind the end-to-end simulation times.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "analysis/maxflow.hpp"
 #include "bench/bench_common.hpp"
 #include "core/algorithms.hpp"
@@ -171,6 +173,81 @@ void BM_DiversitySelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiversitySelect)->Arg(15)->Arg(60);
+
+// --- beacon store and Sent PCBs List --------------------------------------------
+
+void BM_StoreInsertDiversityAware(benchmark::State& state) {
+  // A full kDiversityAware bucket and a candidate it rejects: every insert
+  // runs the whole victim pick and leaves the bucket unchanged.
+  util::Rng rng{7};
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto bucket = make_bucket(n, rng);
+  ctrl::BeaconStore store{n, ctrl::StorePolicy::kDiversityAware};
+  for (const ctrl::StoredPcb& e : bucket) {
+    store.insert(e.pcb, e.links, e.received_at, e.path_key);
+  }
+  // A copy of the most redundant entry's links is more redundant still
+  // (found here so the kernel needs only the store's insert API).
+  std::size_t worst = 0;
+  double worst_red = -1.0;
+  for (std::size_t i = 0; i < bucket.size(); ++i) {
+    double sum = 0.0;
+    for (topo::LinkIndex l : bucket[i].links) {
+      for (const ctrl::StoredPcb& e : bucket) {
+        sum += static_cast<double>(std::count(e.links.begin(), e.links.end(), l));
+      }
+    }
+    const double red = sum / static_cast<double>(bucket[i].links.size());
+    if (red > worst_red) {
+      worst_red = red;
+      worst = i;
+    }
+  }
+  const ctrl::StoredPcb& cand = bucket[worst];
+  const std::uint64_t cand_key = ~cand.path_key;  // a different path
+  if (store.insert(cand.pcb, cand.links, cand.received_at, cand_key) !=
+      ctrl::BeaconStore::InsertOutcome::kRejected) {
+    state.SkipWithError("candidate was admitted");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        store.insert(cand.pcb, cand.links, cand.received_at, cand_key));
+  }
+}
+BENCHMARK(BM_StoreInsertDiversityAware)->Arg(15)->Arg(60);
+
+void BM_DiversityExpire(benchmark::State& state) {
+  // Sent records spread evenly over one PCB lifetime (sent every beaconing
+  // interval); each iteration expires the next interval's share on a copy.
+  const Duration lifetime = Duration::hours(6);
+  const Duration interval = Duration::minutes(10);
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const std::size_t per_interval = records / 36;
+  ctrl::DiversityState sent{ctrl::DiversityParams{}};
+  util::Rng rng{7};
+  for (std::size_t i = 0; i < records; ++i) {
+    const TimePoint at =
+        TimePoint::origin() + interval * static_cast<std::int64_t>(i / per_interval);
+    const std::vector<topo::LinkIndex> links{
+        static_cast<topo::LinkIndex>(rng.index(300)),
+        static_cast<topo::LinkIndex>(rng.index(300)), 500};
+    sent.commit_send(ctrl::SentKey{rng(), 500}, IsdAsId::make(1, 1),
+                     IsdAsId::make(9, 9), links, at, at + lifetime, at);
+  }
+  const TimePoint next = TimePoint::origin() + lifetime;
+  // Declared outside the loop so the previous copy is torn down while the
+  // timer is paused.
+  ctrl::DiversityState copy = sent;
+  for (auto _ : state) {
+    state.PauseTiming();
+    copy = sent;
+    state.ResumeTiming();
+    copy.expire(next);
+    benchmark::DoNotOptimize(copy.sent().size());
+  }
+}
+BENCHMARK(BM_DiversityExpire)->Arg(1000)->Arg(10000);
 
 // --- max-flow --------------------------------------------------------------------
 

@@ -2,18 +2,19 @@
 
 #include <algorithm>
 
+#include "util/check.hpp"
+
 namespace scion::ctrl {
 
 LinkCanonicalizer as_pair_canonicalizer(const topo::Topology& topology) {
-  // Precompute representative (lowest) link index per AS pair.
-  auto mapping = std::make_shared<std::vector<topo::LinkIndex>>(
-      topology.link_count(), topo::kInvalidLinkIndex);
+  // Representative (lowest) link index per AS pair.
+  LinkCanonicalizer mapping(topology.link_count(), topo::kInvalidLinkIndex);
   for (topo::LinkIndex l = 0; l < topology.link_count(); ++l) {
     const topo::Link& link = topology.link(l);
     const auto parallel = topology.links_between(link.a, link.b);
-    (*mapping)[l] = *std::min_element(parallel.begin(), parallel.end());
+    mapping[l] = *std::min_element(parallel.begin(), parallel.end());
   }
-  return [mapping](topo::LinkIndex l) { return (*mapping)[l]; };
+  return mapping;
 }
 
 const char* to_string(AlgorithmKind k) {
@@ -61,20 +62,40 @@ LinkHistoryTable& DiversityState::history(topo::IsdAsId origin,
   return history_[PairKey{origin.value(), neighbor_as.value()}];
 }
 
+namespace {
+
+/// Heap order of the expiry queue: the earliest expiry on top.
+constexpr auto kExpiresLater = [](const auto& x, const auto& y) {
+  return x.expiry > y.expiry;
+};
+
+}  // namespace
+
 void DiversityState::expire(TimePoint now) {
-  // Erase-only sweep; remove_path decrements commute, so visit order is
-  // irrelevant. simlint:allow(unordered-iter)
-  for (auto it = sent_.begin(); it != sent_.end();) {
-    if (it->second.instance_expiry <= now) {
-      if (params_.decrement_on_expiry) {
-        history(it->second.origin, it->second.neighbor)
-            .remove_path(it->second.links);
-      }
-      it = sent_.erase(it);
-    } else {
-      ++it;
+  // Entries pushed below are due after `now`, so the loop terminates.
+  while (!expiry_queue_.empty() && expiry_queue_.front().expiry <= now) {
+    std::pop_heap(expiry_queue_.begin(), expiry_queue_.end(), kExpiresLater);
+    const SentKey key = expiry_queue_.back().key;
+    expiry_queue_.pop_back();
+    const auto it = sent_.find(key);
+    if (it == sent_.end()) continue;  // already purged by an earlier entry
+    if (it->second.instance_expiry > now) {
+      // Refreshed since this entry was queued: due at its new expiry.
+      schedule_expiry(it->second.instance_expiry, key);
+      continue;
     }
+    // remove_path decrements commute, so expiry order is irrelevant.
+    if (params_.decrement_on_expiry) {
+      history(it->second.origin, it->second.neighbor)
+          .remove_path(it->second.links);
+    }
+    sent_.erase(it);
   }
+}
+
+void DiversityState::schedule_expiry(TimePoint expiry, const SentKey& key) {
+  expiry_queue_.push_back(ExpiryEntry{expiry, key});
+  std::push_heap(expiry_queue_.begin(), expiry_queue_.end(), kExpiresLater);
 }
 
 std::vector<Candidate> DiversityState::select_and_commit(
@@ -85,87 +106,106 @@ std::vector<Candidate> DiversityState::select_and_commit(
   if (egress_links.empty() || bucket.empty()) return selected;
 
   LinkHistoryTable& table = history(origin, neighbor_as);
-  std::vector<topo::LinkIndex> candidate_links;
+  using Kind = Combination::Kind;
 
-  // Guards against reselecting a combination within this call; the fresh
-  // sent record already suppresses it for sane parameters, but user-chosen
-  // parameters must not be able to produce duplicates.
-  std::vector<SentKey> chosen_this_call;
+  // Everything about a combination except its fresh diversity is fixed for
+  // the call: eligibility, the sent record (commits only touch the records
+  // of chosen combinations), the age and lifetime, the latency factor.
+  combinations_.clear();
+  combination_links_.clear();
+  for (const StoredPcb& s : bucket) {
+    if (s.pcb->expired(now)) continue;
+    if (s.stale()) continue;  // quarantined: a link on the path is down
+    if (s.pcb->contains_as(neighbor_as)) continue;  // loop prevention
+    const double latency =
+        params_.latency_weight > 0.0
+            ? latency_factor(s.pcb->total_latency_us(), params_)
+            : 1.0;
+    for (topo::LinkIndex egress : egress_links) {
+      Combination c{&s, egress, Kind::kFresh, 0.0, s.pcb->age(now),
+                    s.pcb->lifetime(), latency, 0, 0};
+      const auto sent_it = sent_.find(SentKey{s.path_key, egress});
+      if (sent_it != sent_.end() && sent_it->second.instance_expiry > now) {
+        c.kind = Kind::kFixed;
+        c.score = score_previously_sent(
+            sent_it->second.diversity, sent_it->second.instance_expiry - now,
+            s.pcb->remaining_lifetime(now), params_);
+      } else {
+        c.links_begin = static_cast<std::uint32_t>(combination_links_.size());
+        for (topo::LinkIndex l : s.links) combination_links_.push_back(canon(l));
+        combination_links_.push_back(canon(egress));
+        c.links_size = static_cast<std::uint32_t>(s.links.size() + 1);
+      }
+      combinations_.push_back(c);
+    }
+  }
 
   while (selected.size() < limit) {
-    const StoredPcb* best = nullptr;
-    topo::LinkIndex best_egress = topo::kInvalidLinkIndex;
+    Combination* best = nullptr;
     double best_score = 0.0;
 
-    for (const StoredPcb& s : bucket) {
-      if (s.pcb->expired(now)) continue;
-      if (s.stale()) continue;  // quarantined: a link on the path is down
-      if (s.pcb->contains_as(neighbor_as)) continue;  // loop prevention
-      for (topo::LinkIndex egress : egress_links) {
-        const SentKey key{s.path_key, egress};
-        if (std::find(chosen_this_call.begin(), chosen_this_call.end(), key) !=
-            chosen_this_call.end()) {
-          continue;
-        }
-        ++evaluations_;
-
-        double score = 0.0;
-        const auto sent_it = sent_.find(key);
-        const bool previously_sent =
-            sent_it != sent_.end() && sent_it->second.instance_expiry > now;
-        if (previously_sent) {
-          score = score_previously_sent(
-              sent_it->second.diversity,
-              sent_it->second.instance_expiry - now,
-              s.pcb->remaining_lifetime(now), params_);
-        } else {
-          candidate_links.assign(s.links.begin(), s.links.end());
-          candidate_links.push_back(egress);
-          if (canonicalizer_) {
-            for (topo::LinkIndex& l : candidate_links) l = canonicalizer_(l);
-          }
-          const double d = diversity_score(table, candidate_links, params_);
-          score = score_fresh(d, s.pcb->age(now), s.pcb->lifetime(), params_);
-          // Latency extension: penalize high-latency candidates before the
-          // threshold check (no effect when latency_weight is 0).
-          score *= latency_factor(s.pcb->total_latency_us(), params_);
-        }
-
+    // Every unchosen combination counts as one evaluation per pass, as in
+    // the plain greedy loop, whether or not its score had to be recomputed.
+    for (Combination& c : combinations_) {
+      if (c.kind == Kind::kChosen) continue;
+      ++evaluations_;
+      double score = c.score;
+      if (c.kind == Kind::kFresh) {
+        const std::span<const topo::LinkIndex> links{
+            combination_links_.data() + c.links_begin, c.links_size};
+        const double d = diversity_score(table, links, params_);
+        // Latency extension: penalize high-latency candidates before the
+        // threshold check (a factor of 1 when latency_weight is 0).
+        score = score_fresh(d, c.age, c.lifetime, params_) * c.latency;
         if (score <= params_.score_threshold) {
-          ++suppressed_;
-          continue;
+          c.kind = Kind::kFixed;
+          c.score = score;
         }
-        // Strictly-greater comparison plus deterministic tie-breaks:
-        // longer remaining lifetime, then fewer hops, then stable key.
-        bool better = score > best_score;
-        if (!better && score == best_score && best != nullptr) {
-          if (s.pcb->expiry() != best->pcb->expiry()) {
-            better = s.pcb->expiry() > best->pcb->expiry();
-          } else if (s.pcb->hops() != best->pcb->hops()) {
-            better = s.pcb->hops() < best->pcb->hops();
-          } else {
-            better = SentKey{s.path_key, egress}.path_key <
-                     SentKey{best->path_key, best_egress}.path_key;
-          }
+      }
+
+      if (score <= params_.score_threshold) {
+        ++suppressed_;
+        continue;
+      }
+      // Strictly-greater comparison plus deterministic tie-breaks:
+      // longer remaining lifetime, then fewer hops, then stable key.
+      bool better = score > best_score;
+      if (!better && score == best_score && best != nullptr) {
+        const Pcb& x = *c.stored->pcb;
+        const Pcb& y = *best->stored->pcb;
+        if (x.expiry() != y.expiry()) {
+          better = x.expiry() > y.expiry();
+        } else if (x.hops() != y.hops()) {
+          better = x.hops() < y.hops();
+        } else {
+          better = c.stored->path_key < best->stored->path_key;
         }
-        if (better) {
-          best = &s;
-          best_egress = egress;
-          best_score = score;
-        }
+      }
+      if (better) {
+        best = &c;
+        best_score = score;
       }
     }
 
     if (best == nullptr) break;  // nothing above the threshold
 
-    const SentKey key{best->path_key, best_egress};
-    candidate_links.assign(best->links.begin(), best->links.end());
-    candidate_links.push_back(best_egress);
-    commit_send(key, origin, neighbor_as, candidate_links,
-                best->pcb->timestamp(), best->pcb->expiry(), now);
+    const StoredPcb& s = *best->stored;
+    const SentKey key{s.path_key, best->egress};
+    commit_links_.clear();
+    for (topo::LinkIndex l : s.links) commit_links_.push_back(canon(l));
+    commit_links_.push_back(canon(best->egress));
+    commit_canonical(key, origin, neighbor_as, commit_links_,
+                     s.pcb->timestamp(), s.pcb->expiry(), now);
+    selected.push_back(Candidate{&s, best->egress});
 
-    chosen_this_call.push_back(key);
-    selected.push_back(Candidate{best, best_egress});
+    // Never reselect a combination within this call; the fresh sent record
+    // already suppresses it for sane parameters, but user-chosen parameters
+    // must not be able to produce duplicates.
+    for (Combination& c : combinations_) {
+      if (c.stored->path_key == key.path_key && c.egress == key.egress) {
+        c.kind = Kind::kChosen;
+      }
+    }
   }
   return selected;
 }
@@ -175,8 +215,16 @@ void DiversityState::commit_send(const SentKey& key, topo::IsdAsId origin,
                                  std::span<const topo::LinkIndex> links,
                                  TimePoint instance_timestamp,
                                  TimePoint instance_expiry, TimePoint now) {
-  LinkHistoryTable& table = history(origin, neighbor_as);
-  const std::vector<topo::LinkIndex> canonical = canon(links);
+  commit_links_.clear();
+  for (topo::LinkIndex l : links) commit_links_.push_back(canon(l));
+  commit_canonical(key, origin, neighbor_as, commit_links_, instance_timestamp,
+                   instance_expiry, now);
+}
+
+void DiversityState::commit_canonical(
+    const SentKey& key, topo::IsdAsId origin, topo::IsdAsId neighbor_as,
+    std::span<const topo::LinkIndex> canonical, TimePoint instance_timestamp,
+    TimePoint instance_expiry, TimePoint now) {
   // "If a path is sent again, its corresponding timers in Sent PCBs List
   // get updated": a refresh of a still-valid sent path updates the
   // instance timers only — counters are not re-incremented and the stored
@@ -184,14 +232,23 @@ void DiversityState::commit_send(const SentKey& key, topo::IsdAsId origin,
   // the since-grown counters would drive refreshed paths' scores to zero
   // and connectivity maintenance would die out after a few lifetimes).
   const auto sent_it = sent_.find(key);
-  const bool counted =
-      sent_it != sent_.end() && sent_it->second.instance_expiry > now;
-  if (counted) {
-    sent_it->second.instance_timestamp = instance_timestamp;
-    sent_it->second.instance_expiry = instance_expiry;
-    return;
+  if (sent_it != sent_.end()) {
+    SentRecord& record = sent_it->second;
+    // An earlier expiry needs an earlier queue entry; a later one is
+    // re-queued when the current entry comes due.
+    if (instance_expiry < record.instance_expiry) {
+      schedule_expiry(instance_expiry, key);
+    }
+    if (record.instance_expiry > now) {
+      record.instance_timestamp = instance_timestamp;
+      record.instance_expiry = instance_expiry;
+      return;
+    }
+  } else {
+    schedule_expiry(instance_expiry, key);
   }
 
+  LinkHistoryTable& table = history(origin, neighbor_as);
   table.add_path(canonical);
   SentRecord record;
   record.origin = origin;
@@ -200,17 +257,14 @@ void DiversityState::commit_send(const SentKey& key, topo::IsdAsId origin,
   record.instance_timestamp = instance_timestamp;
   record.instance_expiry = instance_expiry;
   // Canonicalized: expire() must decrement exactly what was incremented.
-  record.links = canonical;
+  record.links.assign(canonical.begin(), canonical.end());
   sent_[key] = std::move(record);
 }
 
-std::vector<topo::LinkIndex> DiversityState::canon(
-    std::span<const topo::LinkIndex> links) const {
-  std::vector<topo::LinkIndex> out(links.begin(), links.end());
-  if (canonicalizer_) {
-    for (topo::LinkIndex& l : out) l = canonicalizer_(l);
-  }
-  return out;
+topo::LinkIndex DiversityState::canon(topo::LinkIndex l) const {
+  if (canonicalizer_.empty()) return l;
+  SCION_DCHECK(l < canonicalizer_.size(), "link outside the canonicalizer");
+  return canonicalizer_[l];
 }
 
 }  // namespace scion::ctrl

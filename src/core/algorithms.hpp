@@ -60,7 +60,8 @@ class DiversityState {
   const DiversityParams& params() const { return params_; }
 
   /// Purges sent records whose sent instance expired and rolls their links
-  /// out of the history tables ("valid paths" only, Section 4.2).
+  /// out of the history tables ("valid paths" only, Section 4.2). Visits
+  /// only the records due by `now`, in expiry order.
   void expire(TimePoint now);
 
   /// Algorithm 1 for one [origin, neighbor] pair. Returns the selected
@@ -107,16 +108,62 @@ class DiversityState {
     }
   };
 
-  /// Applies the canonicalizer (identity when unset).
-  std::vector<topo::LinkIndex> canon(
-      std::span<const topo::LinkIndex> links) const;
+  /// A sent record due at `expiry`. The queue holds at least one entry at
+  /// or before every sent record's expiry; a record refreshed to a later
+  /// expiry is re-queued when its old entry comes due.
+  struct ExpiryEntry {
+    TimePoint expiry;
+    SentKey key;
+  };
+
+  /// One (stored PCB, egress link) combination under selection, with the
+  /// parts of its score that stay fixed for the whole call.
+  struct Combination {
+    enum class Kind : std::uint8_t {
+      kFresh,   // never sent: re-scored against the growing history table
+      kFixed,   // score cannot change within the call
+      kChosen,  // selected in an earlier pass
+    };
+    const StoredPcb* stored;
+    topo::LinkIndex egress;
+    Kind kind;
+    /// kFixed: the score. A fresh path at or below the threshold stays
+    /// there, because counters only grow within a call.
+    double score;
+    /// kFresh: the inputs of Eq. 2 and the latency factor.
+    Duration age;
+    Duration lifetime;
+    double latency;
+    /// kFresh: its canonical links, egress last, in `combination_links_`.
+    std::uint32_t links_begin;
+    std::uint32_t links_size;
+  };
+
+  /// Applies the canonicalizer to one link (identity when unset).
+  topo::LinkIndex canon(topo::LinkIndex l) const;
+
+  /// commit_send on an already canonicalized link sequence.
+  void commit_canonical(const SentKey& key, topo::IsdAsId origin,
+                        topo::IsdAsId neighbor_as,
+                        std::span<const topo::LinkIndex> canonical,
+                        TimePoint instance_timestamp,
+                        TimePoint instance_expiry, TimePoint now);
+
+  void schedule_expiry(TimePoint expiry, const SentKey& key);
 
   DiversityParams params_;
   LinkCanonicalizer canonicalizer_;
   std::unordered_map<PairKey, LinkHistoryTable, PairKeyHash> history_;
   SentPcbsList sent_;
+  /// Min-heap on expiry over the Sent PCBs List.
+  std::vector<ExpiryEntry> expiry_queue_;
   std::uint64_t evaluations_{0};
   std::uint64_t suppressed_{0};
+  /// Per-call scratch of select_and_commit and commit_send; capacity is
+  /// retained across calls.
+  std::vector<Combination> combinations_;
+  std::vector<topo::LinkIndex> combination_links_;
+  std::vector<topo::LinkIndex> commit_links_;
 };
 
 }  // namespace scion::ctrl

@@ -16,18 +16,15 @@ bool shortest_fresh_better(const StoredPcb& x, const StoredPcb& y) {
   return x.pcb->expiry() > y.pcb->expiry();
 }
 
-/// Coverage count of one link in the scratch table (0 when absent).
-int coverage_of(const std::vector<std::pair<topo::LinkIndex, int>>& coverage,
-                topo::LinkIndex l) {
-  for (const auto& [link, n] : coverage) {
-    if (link == l) return n;
-  }
-  return 0;
+/// Coverage count of one link in the dense scratch table (0 when the link
+/// lies beyond every stored index).
+int coverage_of(const std::vector<int>& coverage, topo::LinkIndex l) {
+  return l < coverage.size() ? coverage[l] : 0;
 }
 
 /// Redundancy of a candidate path against the bucket coverage counts.
 double redundancy(std::span<const topo::LinkIndex> links,
-                  const std::vector<std::pair<topo::LinkIndex, int>>& coverage) {
+                  const std::vector<int>& coverage) {
   if (links.empty()) return 0.0;
   double sum = 0.0;
   for (topo::LinkIndex l : links) {
@@ -123,20 +120,15 @@ std::size_t BeaconStore::pick_victim(const std::vector<StoredPcb>& bucket,
   }
 
   // kDiversityAware: coverage of each link across the bucket, tallied in
-  // the reused scratch table (allocation-free once warm).
-  coverage_scratch_.clear();
+  // the dense scratch table (allocation-free once warm).
   for (const StoredPcb& e : bucket) {
     for (topo::LinkIndex l : e.links) {
-      bool found = false;
-      for (auto& [link, n] : coverage_scratch_) {
-        if (link == l) {
-          ++n;
-          found = true;
-          break;
-        }
+      SCION_DCHECK(l != topo::kInvalidLinkIndex, "stored link must be resolved");
+      if (l >= coverage_scratch_.size()) {
+        // simlint:allow(hot-alloc) — capacity is retained across calls.
+        coverage_scratch_.resize(static_cast<std::size_t>(l) + 1, 0);
       }
-      // simlint:allow(hot-alloc) — capacity is retained across calls.
-      if (!found) coverage_scratch_.emplace_back(l, 1);
+      ++coverage_scratch_[l];
     }
   }
   std::size_t worst = 0;
@@ -146,7 +138,7 @@ std::size_t BeaconStore::pick_victim(const std::vector<StoredPcb>& bucket,
     // one to each of its links' coverage counts.
     double sum = 0.0;
     for (topo::LinkIndex l : bucket[i].links) {
-      sum += static_cast<double>(coverage_of(coverage_scratch_, l) - 1);
+      sum += static_cast<double>(coverage_scratch_[l] - 1);
     }
     const double red =
         bucket[i].links.empty()
@@ -160,6 +152,9 @@ std::size_t BeaconStore::pick_victim(const std::vector<StoredPcb>& bucket,
   }
   const double cand_red = redundancy(candidate_links, coverage_scratch_);
   candidate_wins = cand_red < worst_red;  // strictly more diverse only
+  for (const StoredPcb& e : bucket) {
+    for (topo::LinkIndex l : e.links) coverage_scratch_[l] = 0;
+  }
   return worst;
 }
 

@@ -97,20 +97,24 @@ class BeaconStore {
   std::size_t total_stored() const;
   std::size_t per_origin_limit() const { return limit_; }
 
- private:
+  /// The eviction decision for a full `bucket` under this store's policy:
+  /// returns the victim's index and sets `candidate_wins` when the
+  /// candidate is strictly better than it. Public so tests can compare it
+  /// against a reference implementation.
   std::size_t pick_victim(const std::vector<StoredPcb>& bucket,
                           const PcbRef& candidate,
                           std::span<const topo::LinkIndex> candidate_links,
                           bool& candidate_wins) const;
 
+ private:
   std::size_t limit_;
   StorePolicy policy_;
   std::unordered_map<IsdAsId, std::vector<StoredPcb>> buckets_;
-  /// Per-link coverage counts reused across kDiversityAware victim picks.
-  /// A flat vector with linear scans: buckets hold at most the storage
-  /// limit (tens) of short paths, and unlike a hash map the scratch keeps
-  /// its capacity between inserts.
-  mutable std::vector<std::pair<topo::LinkIndex, int>> coverage_scratch_;
+  /// Per-link coverage counts of the bucket under a kDiversityAware victim
+  /// pick, indexed by LinkIndex. Grown on demand to the largest stored link
+  /// index and all-zero between picks (each pick zeroes the entries it
+  /// set), so its capacity is retained across inserts.
+  mutable std::vector<int> coverage_scratch_;
 };
 
 }  // namespace scion::ctrl

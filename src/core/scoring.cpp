@@ -7,21 +7,69 @@
 
 namespace scion::ctrl {
 
+namespace {
+
+/// Home slot of a link in a table of `mask + 1` slots (Fibonacci hashing:
+/// nearby link ids spread across the table).
+std::size_t home_slot(topo::LinkIndex link, std::size_t mask) {
+  return static_cast<std::size_t>(
+             (static_cast<std::uint64_t>(link) * 0x9E3779B97F4A7C15ULL) >> 32) &
+         mask;
+}
+
+}  // namespace
+
+std::size_t LinkHistoryTable::probe(topo::LinkIndex link) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home_slot(link, mask);
+  while (slots_[i].link != link && slots_[i].link != topo::kInvalidLinkIndex) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+std::size_t LinkHistoryTable::find(topo::LinkIndex link) const {
+  if (slots_.empty()) return kNoSlot;
+  const std::size_t i = probe(link);
+  return slots_[i].link == link ? i : kNoSlot;
+}
+
+LinkHistoryTable::Slot& LinkHistoryTable::find_or_insert(
+    topo::LinkIndex link) {
+  SCION_DCHECK(link != topo::kInvalidLinkIndex,
+               "the invalid link id marks empty slots");
+  if (4 * (used_ + 1) > 3 * slots_.size()) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 8 : 2 * old.size(), Slot{});
+    for (const Slot& s : old) {
+      if (s.link != topo::kInvalidLinkIndex) slots_[probe(s.link)] = s;
+    }
+  }
+  Slot& slot = slots_[probe(link)];
+  if (slot.link != link) {
+    slot.link = link;
+    ++used_;
+  }
+  return slot;
+}
+
 void LinkHistoryTable::add_path(std::span<const topo::LinkIndex> links) {
-  for (topo::LinkIndex l : links) ++counters_[l];
+  for (topo::LinkIndex l : links) {
+    if (find_or_insert(l).count++ == 0) ++nonzero_;
+  }
 }
 
 void LinkHistoryTable::remove_path(std::span<const topo::LinkIndex> links) {
   for (topo::LinkIndex l : links) {
-    const auto it = counters_.find(l);
-    if (it == counters_.end()) continue;
-    if (--it->second <= 0) counters_.erase(it);
+    const std::size_t i = find(l);
+    if (i == kNoSlot || slots_[i].count == 0) continue;
+    if (--slots_[i].count == 0) --nonzero_;
   }
 }
 
 int LinkHistoryTable::counter(topo::LinkIndex link) const {
-  const auto it = counters_.find(link);
-  return it == counters_.end() ? 0 : it->second;
+  const std::size_t i = find(link);
+  return i == kNoSlot ? 0 : slots_[i].count;
 }
 
 double LinkHistoryTable::geometric_mean(

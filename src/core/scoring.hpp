@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -83,14 +82,17 @@ struct DiversityParams {
 };
 
 /// Optional remapping of link ids before they enter the Link History
-/// Tables. Identity (null) gives the paper's link-disjointness; mapping all
-/// parallel links of an AS pair to one id gives AS-disjointness — the
-/// alternative Section 4.2 argues against ("we choose link instead of AS
-/// disjointness ... since AS failures are unlikely events"), kept as an
-/// ablation axis.
-using LinkCanonicalizer = std::function<topo::LinkIndex(topo::LinkIndex)>;
+/// Tables: entry `l` is the id link `l` counts as. Identity (empty) gives
+/// the paper's link-disjointness; mapping all parallel links of an AS pair
+/// to one id gives AS-disjointness — the alternative Section 4.2 argues
+/// against ("we choose link instead of AS disjointness ... since AS
+/// failures are unlikely events"), kept as an ablation axis.
+using LinkCanonicalizer = std::vector<topo::LinkIndex>;
 
-/// Link History Table for one [origin AS, neighbor AS] pair.
+/// Link History Table for one [origin AS, neighbor AS] pair: an
+/// open-addressed table of {link, counter} slots (power-of-two capacity,
+/// linear probing, load at most 3/4). A link whose counter drops back to
+/// zero keeps its slot, so lookups never meet a tombstone.
 class LinkHistoryTable {
  public:
   /// Increments the counter of every link on a sent path.
@@ -105,10 +107,29 @@ class LinkHistoryTable {
   /// Geometric mean of the counters of `links`; 0 if any counter is 0.
   double geometric_mean(std::span<const topo::LinkIndex> links) const;
 
-  std::size_t distinct_links() const { return counters_.size(); }
+  /// Links with a nonzero counter.
+  std::size_t distinct_links() const { return nonzero_; }
 
  private:
-  std::unordered_map<topo::LinkIndex, int> counters_;
+  struct Slot {
+    topo::LinkIndex link{topo::kInvalidLinkIndex};  // invalid = empty slot
+    std::int32_t count{0};
+  };
+
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  /// Index of the slot holding `link`, or of the empty slot ending its
+  /// probe sequence. Requires a non-empty table.
+  std::size_t probe(topo::LinkIndex link) const;
+  /// Index of the slot holding `link`, or kNoSlot when it has none.
+  std::size_t find(topo::LinkIndex link) const;
+  /// The slot holding `link`, claiming an empty one (and doubling the
+  /// table before it would pass 3/4 load) when it has none.
+  Slot& find_or_insert(topo::LinkIndex link);
+
+  std::vector<Slot> slots_;
+  std::size_t used_{0};     // slots holding a link
+  std::size_t nonzero_{0};  // slots holding a nonzero counter
 };
 
 /// Diversity score in [0, 1]; 1 = fully disjoint from previously sent

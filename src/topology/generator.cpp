@@ -34,19 +34,22 @@ void add_parallel_links(Topology& topo, Rng& rng, AsIndex a, AsIndex b,
   for (int i = 0; i < m; ++i) topo.add_link(a, b, type);
 }
 
-/// Preferential-attachment choice among ases [0, limit): probability
-/// proportional to link_degree + 1.
-AsIndex preferential_pick(const Topology& topo, Rng& rng, AsIndex limit) {
-  std::uint64_t total = 0;
-  for (AsIndex i = 0; i < limit; ++i) total += topo.link_degree(i) + 1;
+/// Preferential-attachment choice for the newest AS `self` among the ASes
+/// before it: probability proportional to link_degree + 1.
+AsIndex preferential_pick(const Topology& topo, Rng& rng, AsIndex self) {
+  SCION_DCHECK(self + 1 == topo.as_count(), "self must be the newest AS");
+  // Every link joins two ASes in [0, self], so the weights below `self`
+  // sum to both ends of every link, minus self's own ends, plus one each.
+  const std::uint64_t total =
+      2 * topo.link_count() - topo.link_degree(self) + self;
   std::uint64_t target = static_cast<std::uint64_t>(
       rng.uniform() * static_cast<double>(total));
-  for (AsIndex i = 0; i < limit; ++i) {
+  for (AsIndex i = 0; i < self; ++i) {
     const std::uint64_t w = topo.link_degree(i) + 1;
     if (target < w) return i;
     target -= w;
   }
-  return limit - 1;
+  return self - 1;
 }
 
 }  // namespace

@@ -293,5 +293,164 @@ TEST(DiversitySelect, EvaluationCounterAdvances) {
   EXPECT_GT(state.evaluations(), 0u);
 }
 
+// Pins Algorithm 1's multi-pass behaviour, including its processing-cost
+// counters, on a scenario that exercises every candidate class: two parallel
+// egress links, a previously-sent path (constant, suppressed score), a path
+// that falls to the threshold after the first commit, and fresh paths that
+// stay above it. The expected values were recorded from the reference
+// implementation that re-scores every candidate on every greedy pass.
+TEST(DiversitySelect, MultiPassSequenceAndCountersPinned) {
+  DiversityState state{DiversityParams{}};
+  const TimePoint t0 = TimePoint::origin() + Duration::hours(1);
+  const TimePoint now = t0 + Duration::minutes(30);
+  std::vector<StoredPcb> bucket;
+  bucket.push_back(make_stored({1, 2}, t0));     // A: previously sent on 100
+  bucket.push_back(make_stored({3, 4}, t0));     // B
+  bucket.push_back(make_stored({1, 5}, t0));     // C: falls after A on 101
+  bucket.push_back(make_stored({6}, t0 - Duration::minutes(10)));  // D: older
+  bucket.push_back(make_stored({7, 8, 9}, t0));  // E
+  const std::vector<topo::LinkIndex> egress{100, 101};
+
+  // A was sent on link 100 at t0; link 5 is already counted.
+  const std::vector<topo::LinkIndex> sent_links{1, 2, 100};
+  state.commit_send(SentKey{bucket[0].path_key, 100}, kOrigin, kNeighbor,
+                    sent_links, t0, t0 + kLifetime, t0);
+  const std::vector<topo::LinkIndex> counted{5};
+  state.history(kOrigin, kNeighbor).add_path(counted);
+
+  const auto selected =
+      state.select_and_commit(bucket, kOrigin, kNeighbor, egress, 5, now);
+  std::vector<std::pair<std::uint64_t, topo::LinkIndex>> got;
+  for (const Candidate& c : selected) got.emplace_back(c.stored->path_key, c.egress);
+  const auto key = [&](std::size_t i) { return bucket[i].path_key; };
+  const std::vector<std::pair<std::uint64_t, topo::LinkIndex>> want{
+      {key(0), 101}, {key(1), 100}, {key(4), 100}, {key(3), 100}};
+  EXPECT_EQ(got, want);
+  // Five passes over 10, 9, 8, 7 and 6 unchosen combinations; the last pass
+  // finds nothing above the threshold and stops short of the limit.
+  EXPECT_EQ(state.evaluations(), 40u);
+  EXPECT_EQ(state.suppressed(), 20u);
+}
+
+// --- Sent PCBs List expiry --------------------------------------------------------
+
+TEST(DiversityExpiry, RefreshedRecordSurvivesItsOldExpiry) {
+  DiversityParams params;
+  params.decrement_on_expiry = true;
+  DiversityState state{params};
+  const SentKey key{7, 100};
+  const std::vector<topo::LinkIndex> links{1, 2, 100};
+  const TimePoint t0 = TimePoint::origin();
+  state.commit_send(key, kOrigin, kNeighbor, links, t0, t0 + kLifetime, t0);
+  const TimePoint t1 = t0 + Duration::hours(1);
+  state.commit_send(key, kOrigin, kNeighbor, links, t1, t1 + kLifetime, t1);
+
+  state.expire(t0 + kLifetime);  // the first instance's expiry
+  ASSERT_EQ(state.sent().count(key), 1u) << "refreshed to a later expiry";
+  EXPECT_EQ(state.sent().at(key).instance_expiry, t1 + kLifetime);
+  EXPECT_EQ(state.history(kOrigin, kNeighbor).counter(1), 1);
+
+  state.expire(t1 + kLifetime - Duration::seconds(1));
+  EXPECT_EQ(state.sent().count(key), 1u);
+  state.expire(t1 + kLifetime);
+  EXPECT_TRUE(state.sent().empty());
+  EXPECT_EQ(state.history(kOrigin, kNeighbor).counter(1), 0);
+}
+
+TEST(DiversityExpiry, RefreshToEarlierExpiryExpiresAtTheEarlierTime) {
+  DiversityState state{DiversityParams{}};
+  const SentKey key{7, 100};
+  const std::vector<topo::LinkIndex> links{1, 100};
+  const TimePoint t0 = TimePoint::origin();
+  state.commit_send(key, kOrigin, kNeighbor, links, t0, t0 + kLifetime, t0);
+  const TimePoint shorter = t0 + Duration::hours(2);
+  state.commit_send(key, kOrigin, kNeighbor, links, t0, shorter, t0);
+  state.expire(shorter);
+  EXPECT_TRUE(state.sent().empty());
+  state.expire(t0 + kLifetime);  // the superseded entry finds nothing
+  EXPECT_TRUE(state.sent().empty());
+}
+
+TEST(DiversityExpiry, DecrementingCountersDropExactlyAtExpiry) {
+  DiversityParams params;
+  params.decrement_on_expiry = true;
+  DiversityState state{params};
+  const TimePoint t0 = TimePoint::origin();
+  const TimePoint t1 = t0 + Duration::minutes(10);
+  const std::vector<topo::LinkIndex> first{1, 2, 100};
+  const std::vector<topo::LinkIndex> second{2, 3, 100};
+  state.commit_send(SentKey{1, 100}, kOrigin, kNeighbor, first, t0,
+                    t0 + kLifetime, t0);
+  state.commit_send(SentKey{2, 100}, kOrigin, kNeighbor, second, t1,
+                    t1 + kLifetime, t1);
+  const LinkHistoryTable& table = state.history(kOrigin, kNeighbor);
+  EXPECT_EQ(table.distinct_links(), 4u);
+  EXPECT_EQ(table.counter(2), 2);
+
+  state.expire(t0 + kLifetime - Duration::seconds(1));
+  EXPECT_EQ(table.counter(1), 1);
+  EXPECT_EQ(state.sent().size(), 2u);
+
+  state.expire(t0 + kLifetime);
+  EXPECT_EQ(table.counter(1), 0);
+  EXPECT_EQ(table.counter(2), 1);
+  EXPECT_EQ(table.counter(100), 1);
+  EXPECT_EQ(table.distinct_links(), 3u);
+  EXPECT_EQ(state.sent().size(), 1u);
+
+  state.expire(t1 + kLifetime);
+  EXPECT_EQ(table.distinct_links(), 0u);
+  EXPECT_TRUE(state.sent().empty());
+}
+
+TEST(DiversityExpiry, KeySentAgainAfterExpiryCountsAfresh) {
+  DiversityParams params;
+  params.decrement_on_expiry = true;
+  DiversityState state{params};
+  const SentKey key{7, 100};
+  const std::vector<topo::LinkIndex> links{1, 100};
+  const TimePoint t0 = TimePoint::origin();
+  state.commit_send(key, kOrigin, kNeighbor, links, t0, t0 + kLifetime, t0);
+  const double first_diversity = state.sent().at(key).diversity;
+  state.expire(t0 + kLifetime);
+  ASSERT_TRUE(state.sent().empty());
+  EXPECT_EQ(state.history(kOrigin, kNeighbor).counter(1), 0);
+
+  const TimePoint t1 = t0 + kLifetime + Duration::minutes(10);
+  state.commit_send(key, kOrigin, kNeighbor, links, t1, t1 + kLifetime, t1);
+  EXPECT_EQ(state.history(kOrigin, kNeighbor).counter(1), 1);
+  EXPECT_DOUBLE_EQ(state.sent().at(key).diversity, first_diversity);
+  state.expire(t1 + kLifetime - Duration::seconds(1));
+  EXPECT_EQ(state.sent().count(key), 1u) << "the new send has its own expiry";
+  state.expire(t1 + kLifetime);
+  EXPECT_TRUE(state.sent().empty());
+  EXPECT_EQ(state.history(kOrigin, kNeighbor).counter(1), 0);
+}
+
+TEST(DiversityExpiry, CopyExpiresIndependently) {
+  DiversityParams params;
+  params.decrement_on_expiry = true;
+  DiversityState original{params};
+  const TimePoint t0 = TimePoint::origin();
+  const std::vector<topo::LinkIndex> links{1, 100};
+  original.commit_send(SentKey{7, 100}, kOrigin, kNeighbor, links, t0,
+                       t0 + kLifetime, t0);
+  DiversityState copy = original;
+
+  copy.expire(t0 + kLifetime);
+  EXPECT_TRUE(copy.sent().empty());
+  EXPECT_EQ(copy.history(kOrigin, kNeighbor).counter(1), 0);
+  EXPECT_EQ(original.sent().size(), 1u);
+  EXPECT_EQ(original.history(kOrigin, kNeighbor).counter(1), 1);
+
+  // The copy's later sends do not reach the original's queue either.
+  copy.commit_send(SentKey{8, 100}, kOrigin, kNeighbor, links, t0,
+                   t0 + Duration::hours(1), t0);
+  original.expire(t0 + kLifetime);
+  EXPECT_TRUE(original.sent().empty());
+  EXPECT_EQ(original.history(kOrigin, kNeighbor).counter(1), 0);
+  EXPECT_EQ(copy.sent().size(), 1u);
+}
+
 }  // namespace
 }  // namespace scion::ctrl

@@ -53,6 +53,39 @@ TEST(LinkHistoryTable, GeometricMeanOfMixedCounters) {
   EXPECT_DOUBLE_EQ(table.geometric_mean(links({1, 2})), 2.0);
 }
 
+TEST(LinkHistoryTable, ZeroedLinkCountsAgainWhenReused) {
+  LinkHistoryTable table;
+  table.add_path(links({4, 5}));
+  table.remove_path(links({4}));
+  EXPECT_EQ(table.counter(4), 0);
+  EXPECT_EQ(table.distinct_links(), 1u) << "only nonzero counters count";
+  EXPECT_DOUBLE_EQ(table.geometric_mean(links({4, 5})), 0.0);
+  table.add_path(links({4}));
+  EXPECT_EQ(table.counter(4), 1);
+  EXPECT_EQ(table.distinct_links(), 2u);
+}
+
+TEST(LinkHistoryTable, ManySparseLinksSurviveGrowth) {
+  LinkHistoryTable table;
+  std::vector<topo::LinkIndex> all;
+  for (topo::LinkIndex i = 0; i < 1000; ++i) {
+    // Sparse ids, several colliding in their low bits.
+    all.push_back(i * 4096 + (i % 7));
+  }
+  table.add_path(all);
+  table.add_path(std::span<const topo::LinkIndex>(all).first(300));
+  EXPECT_EQ(table.distinct_links(), 1000u);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(table.counter(all[i]), i < 300 ? 2 : 1) << "link " << all[i];
+  }
+  EXPECT_EQ(table.counter(3), 0);
+  EXPECT_EQ(table.counter(4096 * 2000), 0);
+  table.remove_path(all);
+  EXPECT_EQ(table.distinct_links(), 300u);
+  EXPECT_EQ(table.counter(all[299]), 1);
+  EXPECT_EQ(table.counter(all[300]), 0);
+}
+
 TEST(DiversityScore, FullyFreshPathScoresOne) {
   LinkHistoryTable table;
   EXPECT_DOUBLE_EQ(diversity_score(table, links({5, 6}), kParams), 1.0);
