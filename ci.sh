@@ -1,8 +1,10 @@
 #!/bin/sh
 # CI gate: configure and build the asan-ubsan preset (ASan + UBSan,
 # SCION_MPR_CHECKED=ON, -Werror), run the full test suite under the
-# sanitizers, and lint the simulator sources with simlint. Any sanitizer
-# report, failed test, warning, or determinism hazard fails the script.
+# sanitizers (including the exact allocation-budget and event-attribution
+# gates), and lint the simulator sources with simlint (determinism,
+# layering, shared state). Any sanitizer report, failed test, warning, or
+# lint finding fails the script.
 #
 # The test suite includes the telemetry smoke gate (obs_smoke_bench +
 # obs_smoke_check fixtures): one small bench runs with --metrics-out,
@@ -35,30 +37,26 @@ case "$preset" in
 esac
 # Determinism + architecture lint: simulator sources, benches, and tools.
 # The observed module include graph lands in $build_dir/include_graph.dot
-# (deterministic DOT) for review against DESIGN.md's dependency table, and
-# the hot-path cost report is diffed against the checked-in baseline
-# (tools/cost_baseline.json): any per-(file, rule) count increase inside an
-# annotated hot region — even a simlint:allow-suppressed one — fails here
-# until the baseline is updated deliberately. The shared-state inventory
-# (mutable-global / unguarded-shared / guarded-member counts) gets the same
-# gate against tools/state_baseline.json; a failure names the offending
+# (deterministic DOT) for review against DESIGN.md's dependency table. The
+# shared-state inventory (mutable-global / unguarded-shared / guarded-member
+# counts) is diffed against tools/state_baseline.json: any per-(file, rule)
+# count increase — even a simlint:allow-suppressed one — fails here until
+# the baseline is updated deliberately, and a failure names the offending
 # (file, rule) pair. See DESIGN.md "Concurrency discipline" for the
 # regeneration recipe.
 "$build_dir/tools/simlint" --dot="$build_dir/include_graph.dot" \
-  --cost-report="$build_dir/cost_report.json" \
-  --cost-baseline=tools/cost_baseline.json \
   --state-report="$build_dir/state_report.json" \
   --state-baseline=tools/state_baseline.json \
   src bench tools
 
-# All lint artifacts are published for review: the include graph for
-# DESIGN.md's dependency table, the cost report for hot-path cost triage,
-# and the shared-state inventory for concurrency review.
+# Both lint artifacts are published for review: the include graph for
+# DESIGN.md's dependency table and the shared-state inventory for
+# concurrency review.
 artifact_dir="$build_dir/artifacts"
 mkdir -p "$artifact_dir"
-cp "$build_dir/include_graph.dot" "$build_dir/cost_report.json" \
-   "$build_dir/state_report.json" "$artifact_dir/"
-echo "ci: artifacts: $artifact_dir/include_graph.dot $artifact_dir/cost_report.json $artifact_dir/state_report.json"
+cp "$build_dir/include_graph.dot" "$build_dir/state_report.json" \
+   "$artifact_dir/"
+echo "ci: artifacts: $artifact_dir/include_graph.dot $artifact_dir/state_report.json"
 
 # clang-tidy gate (check set pinned by .clang-tidy at the repo root, run
 # against the compile database the configure step exports). The binary is
@@ -203,5 +201,5 @@ if grep -q -- '-Wthread-safety' "$build_dir/compile_commands.json"; then
 else
   tsa_engine="off (compiler is not Clang)"
 fi
-echo "ci: $preset build, tests, simlint (determinism + layering + hot-path cost + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gate, and telemetry artifacts all green"
+echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gate, and telemetry artifacts all green"
 echo "ci: engines: preset=$preset sanitizers=${sanitizers:-none} thread-safety-analysis=$tsa_engine clang-tidy=$tidy_engine"

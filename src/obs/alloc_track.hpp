@@ -1,5 +1,4 @@
-// Counting allocator for per-phase allocation budgets (the dynamic half of
-// the hot-path cost layer; the static half is tools/simlint_hotpath.hpp).
+// Counting allocator for per-phase allocation budgets.
 //
 // alloc_track.cpp replaces the global operator new/delete with a forwarding
 // pair that bumps thread-local counters before delegating to malloc/free.
@@ -7,7 +6,7 @@
 // phase start and records the delta, so every BENCH_*.json "phases" entry
 // carries "allocs"/"alloc_bytes" next to its wall time — the
 // allocations-per-event budgets that tests/test_alloc_budget.cpp gates for
-// the beaconing, control-plane, and BGP micro-runs.
+// the beaconing, control-plane, BGP, and BGP-churn micro-runs.
 //
 // Determinism: counting is observational only. The counters never feed
 // simulation state, virtual time, or RNG draws. The counters are

@@ -51,8 +51,8 @@ class Simulator {
   void schedule_at(TimePoint t, obs::EventLabel label, Callback fn);
 
   /// Unlabeled form: the event lands under the "(unlabeled)" default label.
-  /// Hot-path call sites must use the labeled overload (enforced by the
-  /// simlint hot-unlabeled-schedule rule).
+  /// Protocol call sites must use the labeled overload (enforced by the
+  /// exact attribution test ObsEventProfile.EveryPipelineAttributesAllEvents).
   void schedule_at(TimePoint t, Callback fn) {
     schedule_at(t, obs::EventLabel{}, std::move(fn));
   }

@@ -6,8 +6,8 @@
 // a simnet Message, a periodic-timer re-arm closure — so scheduling through
 // std::function costs one operator-new per event. SmallFn<Capacity> stores
 // captures up to Capacity bytes inline and only falls back to the heap for
-// larger ones, which the hot-path allocation budgets (test_alloc_budget)
-// then catch. It is move-only, so captures can own shared_ptrs without the
+// larger ones, which the allocation budgets (test_alloc_budget) then
+// catch. It is move-only, so captures can own shared_ptrs without the
 // copyability tax std::function imposes.
 //
 // Scope: void() signature only — exactly what the Simulator schedules. Not

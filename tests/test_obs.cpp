@@ -4,12 +4,14 @@
 // profiling, and the shared result renderer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/beaconing_sim.hpp"
+#include "micro_runs.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/event_profile.hpp"
 #include "obs/json.hpp"
@@ -20,7 +22,6 @@
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "simnet/simulator.hpp"
-#include "topology/generator.hpp"
 #include "util/flags.hpp"
 
 namespace scion::obs {
@@ -566,27 +567,28 @@ TEST(ObsEventProfile, DisabledProfilerRecordsNothing) {
   EventProfiler::global().reset_counters();
 }
 
-// The acceptance bar for the labeling sweep: a real simulation pipeline
-// must attribute (nearly) all its events to non-default labels. A new
-// unlabeled schedule site in a hot loop drags this ratio down.
-TEST(ObsEventProfile, BeaconingRunAttributesAtLeast95PercentOfEvents) {
-  EventProfiler::global().reset_counters();
+// The acceptance bar for event labeling: every event of every simulation
+// pipeline lands under a protocol label. None may fall into the
+// "(unlabeled)" default, and none may be a network delivery under the
+// generic "net.deliver" default (an unlabeled Network::send).
+TEST(ObsEventProfile, EveryPipelineAttributesAllEvents) {
   EventProfiler::global().set_enabled(true);
-  topo::ScionLabConfig topo_config;
-  topo_config.n_cores = 8;
-  topo_config.seed = 5;
-  const topo::Topology world = topo::generate_scionlab(topo_config);
-  ctrl::BeaconingSimConfig config;
-  config.sim_duration = util::Duration::minutes(30);
-  config.seed = 42;
-  ctrl::BeaconingSim sim{world, config};
-  sim.run();
-  const std::uint64_t total = EventProfiler::global().total_events();
-  const std::uint64_t attributed = EventProfiler::global().attributed_events();
-  ASSERT_GT(total, 0u);
-  EXPECT_GE(static_cast<double>(attributed),
-            0.95 * static_cast<double>(total))
-      << attributed << " of " << total << " events attributed";
+  const std::pair<const char*, micro::MicroRun (*)()> runs[] = {
+      {"beaconing", micro::beaconing},
+      {"control-plane", micro::control_plane},
+      {"bgp", micro::bgp},
+      {"churn", micro::churn_survival}};
+  for (const auto& [name, run] : runs) {
+    ASSERT_GT(run().events, 0u) << name;
+    const std::uint64_t total = EventProfiler::global().total_events();
+    ASSERT_GT(total, 0u) << name;
+    EXPECT_EQ(EventProfiler::global().attributed_events(), total) << name;
+    for (const auto& [label, stats] :
+         EventProfiler::global().label_snapshot()) {
+      EXPECT_NE(label, "net.deliver")
+          << name << ": " << stats.events << " unlabeled network deliveries";
+    }
+  }
   EventProfiler::global().reset_counters();
 }
 

@@ -67,18 +67,14 @@ struct Finding {
 
 inline const std::vector<std::string>& rule_names() {
   // layering / module-cycle are produced by the include-graph analyzer
-  // (simlint_includes.hpp); the hot-* rules by the hot-path-cost analyzer
-  // (simlint_hotpath.hpp, including the baseline-diff hot-cost-regression);
-  // mutable-global / unguarded-shared / state-regression by the
-  // shared-state analyzer (simlint_state.hpp); the rest by Linter::run().
+  // (simlint_includes.hpp); mutable-global / unguarded-shared /
+  // state-regression by the shared-state analyzer (simlint_state.hpp); the
+  // rest by Linter::run().
   static const std::vector<std::string> kNames{
-      "wall-clock",      "std-rng",        "unordered-iter",
-      "float-accum",     "raw-output",     "raw-thread",
-      "layering",        "module-cycle",   "hot-alloc",
-      "hot-string",      "hot-copy-arg",   "hot-map-lookup",
-      "hot-unlabeled-schedule",            "hot-cost-regression",
-      "mutable-global",  "unguarded-shared",
-      "state-regression"};
+      "wall-clock",     "std-rng",          "unordered-iter",
+      "float-accum",    "raw-output",       "raw-thread",
+      "layering",       "module-cycle",     "mutable-global",
+      "unguarded-shared", "state-regression"};
   return kNames;
 }
 
@@ -221,6 +217,15 @@ inline bool mentions_name(std::string_view expr,
     if (names.contains(it->str())) return true;
   }
   return false;
+}
+
+/// Escapes '"' and '\\' for the JSON reports (file paths are the only
+/// strings they embed).
+inline void json_escape_into(std::string& out, std::string_view s) {
+  for (char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
 }
 
 }  // namespace detail

@@ -29,10 +29,10 @@
 // sites, plus a `guarded-member` count of annotated members — is emitted as
 // deterministic JSON (--state-report=PATH) and diffed against the
 // checked-in tools/state_baseline.json (--state-baseline=PATH): any
-// per-(file, rule) count increase is a `state-regression` finding, exactly
-// like the PR 6 hot-path cost baseline. New shared state therefore cannot
-// land by accident; it lands by regenerating the baseline in the same PR
-// that argues for it (see DESIGN.md "Concurrency discipline").
+// per-(file, rule) count increase is a `state-regression` finding. New
+// shared state therefore cannot land by accident; it lands by regenerating
+// the baseline in the same PR that argues for it (see DESIGN.md
+// "Concurrency discipline").
 //
 // Scanning is a per-line state machine that strips comments and string /
 // character literals (so braces and keywords inside literals — e.g. the
@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "tools/simlint_core.hpp"
-#include "tools/simlint_hotpath.hpp"
 #include "tools/simlint_includes.hpp"
 
 namespace scion::lint {
