@@ -112,6 +112,8 @@ void BM_PcbVerifyChain(benchmark::State& state) {
 }
 BENCHMARK(BM_PcbVerifyChain)->Arg(2)->Arg(5)->Arg(10);
 
+// The key is computed when the PCB is built (see BM_PcbExtendUnsigned);
+// this times the cached read.
 void BM_PcbPathKey(benchmark::State& state) {
   crypto::KeyStore keys{kDomain};
   const ctrl::Pcb pcb = make_chain(5, keys, false);

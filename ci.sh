@@ -18,7 +18,8 @@
 #
 # The last line names the analysis engines that actually ran (sanitizers,
 # Clang thread-safety analysis, clang-tidy), so a green run on a GCC-only
-# image is not read as having covered the Clang-only ones.
+# image is not read as having covered the Clang-only ones, and the SHA-256
+# block compressor CPUID selected.
 #
 # Usage: ./ci.sh [preset]   (default: asan-ubsan; try `tsan` or `checked`)
 set -eu
@@ -201,5 +202,9 @@ if grep -q -- '-Wthread-safety' "$build_dir/compile_commands.json"; then
 else
   tsa_engine="off (compiler is not Clang)"
 fi
+# The SHA-256 block compressor CPUID selected (tests cover both).
+sha256_engine=$("$build_dir/tests/test_crypto" \
+  --gtest_filter=Sha256Compressors.EngineNamesTheDispatchedCompressor | \
+  sed -n 's/^sha256 engine: //p')
 echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gate, and telemetry artifacts all green"
-echo "ci: engines: preset=$preset sanitizers=${sanitizers:-none} thread-safety-analysis=$tsa_engine clang-tidy=$tidy_engine"
+echo "ci: engines: preset=$preset sanitizers=${sanitizers:-none} thread-safety-analysis=$tsa_engine clang-tidy=$tidy_engine sha256=${sha256_engine:-unknown}"

@@ -40,16 +40,19 @@ std::vector<Candidate> baseline_select(std::span<const StoredPcb> bucket,
     eligible.push_back(&s);
   }
   // Shortest path first; among equal lengths prefer the freshest instance;
-  // final tie on the stable path key for determinism.
-  std::sort(eligible.begin(), eligible.end(),
-            [](const StoredPcb* x, const StoredPcb* y) {
-              if (x->pcb->hops() != y->pcb->hops())
-                return x->pcb->hops() < y->pcb->hops();
-              if (x->pcb->timestamp() != y->pcb->timestamp())
-                return x->pcb->timestamp() > y->pcb->timestamp();
-              return x->path_key < y->path_key;
-            });
-  if (eligible.size() > limit) eligible.resize(limit);
+  // final tie on the unique path key, so the order is total and a partial
+  // sort yields the same first `limit` as a full one.
+  const auto keep = eligible.begin() +
+                    static_cast<std::ptrdiff_t>(std::min(limit, eligible.size()));
+  std::partial_sort(eligible.begin(), keep, eligible.end(),
+                    [](const StoredPcb* x, const StoredPcb* y) {
+                      if (x->pcb->hops() != y->pcb->hops())
+                        return x->pcb->hops() < y->pcb->hops();
+                      if (x->pcb->timestamp() != y->pcb->timestamp())
+                        return x->pcb->timestamp() > y->pcb->timestamp();
+                      return x->path_key < y->path_key;
+                    });
+  eligible.erase(keep, eligible.end());
 
   std::vector<Candidate> out;
   out.reserve(eligible.size());

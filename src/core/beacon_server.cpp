@@ -353,9 +353,7 @@ void BeaconServer::originate_diversity(TimePoint now) {
   }
 }
 
-// Once per propagated PCB each interval. The extend + one make_shared per
-// sent PCB is the message's intrinsic cost: the wire object must outlive
-// this call, shared by every queued delivery.
+// Once per (selected PCB, egress link) each interval.
 void BeaconServer::send_extended(const StoredPcb& stored,
                                  topo::LinkIndex egress, TimePoint now) {
   const topo::IfId in_if = topology_.interface_of(stored.links.back(), self_);
@@ -364,8 +362,9 @@ void BeaconServer::send_extended(const StoredPcb& stored,
   if (config_.include_latency_metadata && config_.link_latency_us) {
     ingress_latency_us = config_.link_latency_us(stored.links.back());
   }
-  // The one wire-object allocation per sent PCB: the extended message must
-  // outlive this call, shared by every queued delivery.
+  // A sent PCB's intrinsic allocations: its entries (one exact-size vector,
+  // plus copies of any peer lists) and the shared wire object, which must
+  // outlive this call because every queued delivery shares it.
   auto pcb = std::make_shared<const Pcb>(
       config_.compute_crypto
           ? stored.pcb->extend_signed(self_id_, in_if, out_if, peer_entries(),
@@ -400,10 +399,13 @@ void BeaconServer::propagate(TimePoint now) {
             config_.dissemination_limit, t);
         for (const Candidate& c : selected) send_extended(*c.stored, c.egress, t);
       } else {
+        // The baseline's choice does not depend on the egress link: select
+        // once per neighbour and send the same PCBs on each parallel link.
+        const std::vector<Candidate> selected =
+            baseline_select(bucket, group.neighbor_id, group.links.front(),
+                            config_.dissemination_limit, t);
         for (topo::LinkIndex l : group.links) {
-          const std::vector<Candidate> selected = baseline_select(
-              bucket, group.neighbor_id, l, config_.dissemination_limit, t);
-          for (const Candidate& c : selected) send_extended(*c.stored, c.egress, t);
+          for (const Candidate& c : selected) send_extended(*c.stored, l, t);
         }
       }
     }

@@ -8,14 +8,20 @@
 //
 // Wire sizes are computed from the documented field layout below; they are
 // what the overhead evaluation (Fig. 5, Fig. 9) counts on the links.
+//
+// Everything derived from the entries (wire size, total latency, the
+// AS-membership summary behind contains_as, the path key) is computed once
+// as each entry is appended, so the accessors are field reads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "crypto/hopfield_mac.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/signature.hpp"
 #include "topology/ids.hpp"
 #include "util/time.hpp"
@@ -68,6 +74,12 @@ inline constexpr std::size_t kPeerEntryBytes = 16;
 /// Latency metadata extension: 4 bytes per AS entry when carried.
 inline constexpr std::size_t kLatencyMetadataBytes = 4;
 
+/// The bit an AS sets in a PCB's 64-bit AS-membership summary. Distinct
+/// ASes may share a bit; contains_as walks the path only when the bit is set.
+constexpr std::uint64_t as_summary_bit(IsdAsId as) {
+  return std::uint64_t{1} << ((as.value() * 0x9E3779B97F4A7C15ULL) >> 58);
+}
+
 /// A path-segment construction beacon. Immutable once built; propagation
 /// produces a new PCB via extend().
 class Pcb {
@@ -110,10 +122,13 @@ class Pcb {
 
   /// Sum of the per-entry ingress latencies (microseconds) — the
   /// disseminated latency estimate of the path.
-  std::uint64_t total_latency_us() const;
+  std::uint64_t total_latency_us() const { return total_latency_us_; }
 
   /// Total bytes on the wire.
-  util::Bytes wire_size() const;
+  util::Bytes wire_size() const {
+    return util::Bytes{kPcbHeaderBytes + entry_bytes_ +
+                       (carries_latency_ ? entries_.size() * kLatencyMetadataBytes : 0)};
+  }
 
   /// Returns a copy extended by `next`: the AS `next.isd_as` appends its
   /// entry (signature must already be filled by the caller via
@@ -145,15 +160,29 @@ class Pcb {
   /// Stable identifier of the AS+interface sequence (independent of the
   /// instance timestamp): two PCBs with equal path_key describe the same
   /// path. Used by the beacon store and the sent-PCBs list.
-  std::uint64_t path_key() const;
+  std::uint64_t path_key() const { return path_key_; }
 
  private:
-  Pcb(TimePoint timestamp, TimePoint expiry) : timestamp_{timestamp}, expiry_{expiry} {}
+  Pcb(TimePoint timestamp, TimePoint expiry);
+  /// A copy of `parent` with room for one more entry (one allocation).
+  Pcb(const Pcb& parent, std::size_t capacity);
+
+  /// Appends an entry and updates every derived field; the only writer of
+  /// the fields below entries_.
+  void append(AsEntry entry);
 
   TimePoint timestamp_;
   TimePoint expiry_;
   bool carries_latency_{false};
   std::vector<AsEntry> entries_;
+  /// Wire bytes of the entries, without the latency extension.
+  std::size_t entry_bytes_{0};
+  std::uint64_t total_latency_us_{0};
+  /// OR of as_summary_bit() over the entries' ASes.
+  std::uint64_t as_summary_{0};
+  /// Unfinalized path-key hasher over the key's domain tag and entries.
+  crypto::Sha256 key_prefix_;
+  std::uint64_t path_key_{0};
 };
 
 using PcbRef = std::shared_ptr<const Pcb>;

@@ -1,6 +1,12 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace scion::crypto {
 
@@ -46,7 +52,9 @@ Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
-void Sha256::process_block(const std::uint8_t* block) {
+namespace detail {
+
+void compress_portable(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
@@ -60,8 +68,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -80,28 +88,144 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+namespace {
+
+// SHA-NI keeps the working variables as two vectors, {A,B,E,F} and
+// {C,D,G,H}; each sha256rnds2 runs two rounds on the low two lanes of its
+// message-plus-constant operand.
+[[gnu::target("sha,sse4.1"), gnu::always_inline]] inline void rounds4(
+    __m128i& abef, __m128i& cdgh, __m128i w, int group) {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * static_cast<std::size_t>(group)])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+/// Four big-endian message words: byte-swaps each 32-bit lane.
+[[gnu::target("sha,sse4.1"), gnu::always_inline]] inline __m128i load_words(
+    const std::uint8_t* bytes) {
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes)), bswap);
+}
+
+/// Message schedule: W[t..t+3] from W[t-16..t-1], four words per vector.
+[[gnu::target("sha,sse4.1"), gnu::always_inline]] inline __m128i next4(
+    __m128i w0, __m128i w1, __m128i w2, __m128i w3) {
+  return _mm_sha256msg2_epu32(
+      _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4)),
+      w3);
+}
+
+}  // namespace
+
+[[gnu::target("sha,sse4.1")]] void compress_sha_ni(std::uint32_t* state,
+                                                   const std::uint8_t* block) {
+  // {A,B,C,D},{E,F,G,H} -> {A,B,E,F},{C,D,G,H} (lane names high to low).
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i w0 = load_words(block);
+  __m128i w1 = load_words(block + 16);
+  __m128i w2 = load_words(block + 32);
+  __m128i w3 = load_words(block + 48);
+  rounds4(abef, cdgh, w0, 0);
+  rounds4(abef, cdgh, w1, 1);
+  rounds4(abef, cdgh, w2, 2);
+  rounds4(abef, cdgh, w3, 3);
+  for (int group = 4; group < 16; group += 4) {
+    w0 = next4(w0, w1, w2, w3);
+    rounds4(abef, cdgh, w0, group);
+    w1 = next4(w1, w2, w3, w0);
+    rounds4(abef, cdgh, w1, group + 1);
+    w2 = next4(w2, w3, w0, w1);
+    rounds4(abef, cdgh, w2, group + 2);
+    w3 = next4(w3, w0, w1, w2);
+    rounds4(abef, cdgh, w3, group + 3);
+  }
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  // Back to {A,B,C,D},{E,F,G,H}.
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool sha_ni_supported() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_SHA) != 0;
+}
+
+#else
+
+void compress_sha_ni(std::uint32_t* state, const std::uint8_t* block) {
+  compress_portable(state, block);  // never dispatched: no SHA-NI here
+}
+
+bool sha_ni_supported() { return false; }
+
+#endif
+
+}  // namespace detail
+
+namespace {
+
+using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*);
+
+/// The process-wide compressor, chosen once by CPUID.
+CompressFn compressor() {
+  static const CompressFn chosen = detail::sha_ni_supported()
+                                       ? &detail::compress_sha_ni
+                                       : &detail::compress_portable;
+  return chosen;
+}
+
+}  // namespace
+
+const char* sha256_engine() {
+  return compressor() == &detail::compress_sha_ni ? "sha-ni" : "portable";
+}
+
+void Sha256::process_block(const std::uint8_t* block) {
+  compressor()(state_.data(), block);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
+  if (data.empty()) return;
+  std::size_t buffered = static_cast<std::size_t>(total_len_ % buffer_.size());
   total_len_ += data.size();
   std::size_t off = 0;
-  if (buffer_len_ > 0) {
-    const std::size_t take = std::min(data.size(), buffer_.size() - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
-    buffer_len_ += take;
+  if (buffered > 0) {
+    const std::size_t take = std::min(data.size(), buffer_.size() - buffered);
+    std::memcpy(buffer_.data() + buffered, data.data(), take);
+    buffered += take;
     off += take;
-    if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffered == buffer_.size()) process_block(buffer_.data());
   }
   while (off + 64 <= data.size()) {
     process_block(data.data() + off);
@@ -109,7 +233,6 @@ void Sha256::update(std::span<const std::uint8_t> data) {
   }
   if (off < data.size()) {
     std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
-    buffer_len_ = data.size() - off;
   }
 }
 
@@ -137,13 +260,18 @@ void Sha256::update_u64(std::uint64_t v) {
 }
 
 Sha256Digest Sha256::finalize() {
+  // Padding: 0x80, zeros up to byte 56 of a block, the 64-bit bit length.
+  // A tail longer than 55 bytes leaves no room for 0x80 plus the length,
+  // so it spills into a second block.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t one = 0x80;
-  update(std::span<const std::uint8_t>{&one, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(std::span<const std::uint8_t>{&zero, 1});
-  // The length field is not part of total_len_ accounting any more, write it
-  // directly into the buffer.
+  std::size_t len = static_cast<std::size_t>(total_len_ % buffer_.size());
+  buffer_[len++] = 0x80;
+  if (len > 56) {
+    std::memset(buffer_.data() + len, 0, buffer_.size() - len);
+    process_block(buffer_.data());
+    len = 0;
+  }
+  std::memset(buffer_.data() + len, 0, 56 - len);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));

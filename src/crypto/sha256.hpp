@@ -2,7 +2,11 @@
 //
 // Used for PCB/BGPsec signature modelling and hop-field MACs. The streaming
 // interface avoids buffering whole messages when hashing serialized
-// structures field by field.
+// structures field by field. A hasher is a small value: copying one forks
+// the hash of a common prefix (Pcb keeps its path-key prefix this way).
+//
+// The block compression runs on x86 SHA extensions (SHA-NI) when CPUID
+// reports them and on portable C++ otherwise; both give the same digests.
 #pragma once
 
 #include <array>
@@ -47,10 +51,26 @@ class Sha256 {
   void process_block(const std::uint8_t* block);
 
   std::array<std::uint32_t, 8> state_;
+  /// The unprocessed tail: total_len_ % 64 bytes.
   std::array<std::uint8_t, 64> buffer_{};
-  std::size_t buffer_len_{0};
   std::uint64_t total_len_{0};
 };
+
+/// The compressor this process runs: "sha-ni" or "portable".
+const char* sha256_engine();
+
+namespace detail {
+
+/// The two SHA-256 block compressions, exposed for tests. Each absorbs one
+/// 64-byte block into `state`. compress_sha_ni may run only where
+/// sha_ni_supported() is true.
+void compress_portable(std::uint32_t* state, const std::uint8_t* block);
+void compress_sha_ni(std::uint32_t* state, const std::uint8_t* block);
+
+/// Whether CPUID reports SHA-NI and the SSE4.1/SSSE3 it needs.
+bool sha_ni_supported();
+
+}  // namespace detail
 
 /// One-shot convenience.
 Sha256Digest sha256(std::span<const std::uint8_t> data);

@@ -59,6 +59,113 @@ BeaconServerConfig baseline_config() {
   return config;
 }
 
+/// Core AS X with three parallel links to Y and two to A; A, B and C form
+/// the rest of the core. X=0, Y=1, A=2, B=3, C=4.
+topo::Topology parallel_core() {
+  topo::Topology t;
+  const auto x = t.add_as(topo::IsdAsId::make(1, 10), true);
+  const auto y = t.add_as(topo::IsdAsId::make(1, 11), true);
+  const auto a = t.add_as(topo::IsdAsId::make(1, 12), true);
+  const auto b = t.add_as(topo::IsdAsId::make(2, 13), true);
+  const auto c = t.add_as(topo::IsdAsId::make(2, 14), true);
+  t.add_link(x, y, topo::LinkType::kCore);  // link 0
+  t.add_link(x, y, topo::LinkType::kCore);  // link 1
+  t.add_link(x, y, topo::LinkType::kCore);  // link 2
+  t.add_link(x, a, topo::LinkType::kCore);  // link 3
+  t.add_link(x, a, topo::LinkType::kCore);  // link 4
+  t.add_link(a, b, topo::LinkType::kCore);  // link 5
+  t.add_link(b, c, topo::LinkType::kCore);  // link 6
+  t.add_link(a, c, topo::LinkType::kCore);  // link 7
+  t.add_link(x, c, topo::LinkType::kCore);  // link 8
+  return t;
+}
+
+/// An unsigned PCB from `origin` along `links` (the last one enters the
+/// receiver).
+PcbRef path_pcb(const topo::Topology& t, topo::AsIndex origin,
+                const std::vector<topo::LinkIndex>& links, TimePoint ts) {
+  topo::AsIndex at = origin;
+  Pcb pcb = Pcb::originate_unsigned(t.as_id(at), t.interface_of(links[0], at),
+                                    ts, Duration::hours(6));
+  for (std::size_t i = 1; i < links.size(); ++i) {
+    at = t.neighbor(links[i - 1], at);
+    pcb = pcb.extend_unsigned(t.as_id(at), t.interface_of(links[i - 1], at),
+                              t.interface_of(links[i], at), {});
+  }
+  return std::make_shared<const Pcb>(std::move(pcb));
+}
+
+/// One interval of X's sends as (egress link, path key), in send order.
+std::vector<std::pair<topo::LinkIndex, std::uint64_t>> parallel_core_sends() {
+  const topo::Topology t = parallel_core();
+  crypto::KeyStore keys{kDomain};
+  SendCollector collector;
+  BeaconServerConfig config = baseline_config();
+  config.compute_crypto = false;
+  config.dissemination_limit = 3;
+  BeaconServer x{t, 0, config, keys, kDomain, collector.fn()};
+
+  const std::vector<std::pair<topo::AsIndex, std::vector<topo::LinkIndex>>>
+      paths = {{4, {8}},       {4, {7, 3}},    {4, {7, 4}},    {4, {6, 5, 3}},
+               {4, {6, 5, 4}}, {2, {3}},       {2, {4}},       {2, {7, 8}},
+               {2, {5, 6, 8}}, {3, {5, 3}},    {3, {5, 4}},    {3, {6, 8}},
+               {3, {6, 7, 3}}, {3, {6, 7, 4}}, {3, {5, 7, 8}}, {1, {0}},
+               {1, {1}},       {1, {2}}};
+  const TimePoint now = TimePoint::origin() + Duration::hours(2);
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    // Timestamps 0, 7, 14, 0, 7, ... minutes: equal lengths tie on
+    // freshness, then on the path key.
+    const TimePoint ts = TimePoint::origin() +
+                         Duration::minutes(7 * static_cast<std::int64_t>(i % 3));
+    const auto& [origin, links] = paths[i];
+    x.handle_pcb(path_pcb(t, origin, links, ts), links.back(), now);
+  }
+  EXPECT_EQ(x.store().total_stored(), paths.size());
+  EXPECT_EQ(x.stats().store_rejected, 0u);
+
+  x.on_interval(now + Duration::minutes(10));
+  std::vector<std::pair<topo::LinkIndex, std::uint64_t>> sends;
+  for (const auto& [egress, pcb] : collector.sent) {
+    sends.emplace_back(egress, pcb->path_key());
+  }
+  return sends;
+}
+
+// Baseline selection depends on the neighbour, not on the parallel link it
+// leaves by: every link to Y carries the same PCBs, in link-major order.
+// The expected sequence was recorded from the per-link selection that
+// preceded selecting once per neighbour.
+TEST(BeaconServer, BaselineParallelLinksSendSequencePinned) {
+  const std::vector<std::pair<topo::LinkIndex, std::uint64_t>> expected = {
+      {0, 0x5e4ce32db2541690ULL}, {1, 0x3920a04353ac9640ULL},
+      {2, 0xb603f792e429b948ULL}, {3, 0x802ed2259be8b733ULL},
+      {4, 0xc767b85fb2161189ULL}, {8, 0xbe7b73656f8d1318ULL},
+      {0, 0x6187122bd8f884bbULL}, {0, 0x4aedcb48921f6ff2ULL},
+      {0, 0xeebfb517e0a45a1bULL}, {1, 0xfcad9ffdf015f6a0ULL},
+      {1, 0xd3af2c0e5e7933afULL}, {1, 0x57c0743828c41bfbULL},
+      {2, 0x9a0c3e28c0701632ULL}, {2, 0x466f5789f582da66ULL},
+      {2, 0x5c2da369c11a593aULL}, {0, 0x3751b3ec601601aaULL},
+      {0, 0x56b33e1c412fb2edULL}, {0, 0x193e77cf682f180cULL},
+      {1, 0x9bca1ae8d7a97fe0ULL}, {1, 0xc659ca8789aa3ea7ULL},
+      {1, 0xf9d1d547fbb4dff8ULL}, {2, 0x8c737633d04aca3cULL},
+      {2, 0x36ecd87dde178a63ULL}, {2, 0x3cb380ee1b80ca31ULL},
+      {0, 0x8d6050b1adca5428ULL}, {0, 0xab8525ef66c919a6ULL},
+      {0, 0x90549439b2b5a0a6ULL}, {1, 0x7ce98b8ab2f2b4f6ULL},
+      {1, 0x9f1aae22cd0c04caULL}, {1, 0xdec81aa19dac4f6cULL},
+      {2, 0x78cb7ece804c05dbULL}, {2, 0x0011663fc4d85157ULL},
+      {2, 0xa46f85f0bf40033dULL}, {3, 0xe30a8b22d056e154ULL},
+      {3, 0xa359737dda3a31f4ULL}, {3, 0xb0459ff707610c43ULL},
+      {4, 0xe27b643863809f0dULL}, {4, 0xcc60e256718e452eULL},
+      {4, 0xd6682570a8a88048ULL}, {3, 0x3ec64fef9a2e7055ULL},
+      {4, 0x9bfdd01a3e5064e7ULL}, {3, 0xa4ae2c463c5e8b11ULL},
+      {4, 0x0917332b796daf79ULL}, {8, 0xbf5f38241c27327eULL},
+      {8, 0xac6c41fa4340296dULL}, {8, 0xfae5ead401cabe89ULL},
+      {8, 0xf9c942dea902fe07ULL}, {8, 0x72372f6d86e2ea8cULL},
+      {8, 0x147c5e14cbd128f1ULL}, {8, 0x61c7018e56fd97f4ULL},
+  };
+  EXPECT_EQ(parallel_core_sends(), expected);
+}
+
 TEST(BeaconServer, CoreOriginatesOnEveryCoreLinkEachInterval) {
   const topo::Topology t = core_triangle();
   crypto::KeyStore keys{kDomain};
