@@ -1,6 +1,7 @@
 // Micro-benchmarks of the hot paths: PCB construction/verification, the two
-// selection algorithms, max-flow, and the crypto primitives. These are the
-// per-operation costs behind the end-to-end simulation times.
+// selection algorithms, max-flow, the event queue, and the crypto
+// primitives. These are the per-operation costs behind the end-to-end
+// simulation times.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,6 +11,8 @@
 #include "core/algorithms.hpp"
 #include "core/pcb.hpp"
 #include "crypto/sha256.hpp"
+#include "simnet/network.hpp"
+#include "simnet/simulator.hpp"
 #include "topology/generator.hpp"
 #include "util/rng.hpp"
 
@@ -270,6 +273,47 @@ void BM_MaxFlowCoreTopology(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaxFlowCoreTopology)->Arg(400)->Arg(800);
+
+// --- event queue -----------------------------------------------------------------
+
+/// Keeps `depth` events pending: every handler schedules its own successor
+/// a random delay ahead. The closure carries `this` + a Message, the shape
+/// and size of Network's delivery lambda, the most common event.
+struct QueueLoad {
+  sim::Simulator sim;
+  util::Rng rng{11};
+  std::int64_t horizon_ns;
+
+  void arm(sim::Message msg) {
+    const auto delay = Duration::nanoseconds(
+        horizon_ns + rng.uniform_int(0, horizon_ns));
+    sim.schedule_after(delay, [this, msg = std::move(msg)]() mutable {
+      arm(std::move(msg));
+    });
+  }
+};
+
+// One schedule + one pop per item, against range(0) pending events.
+void BM_EventQueue(benchmark::State& state) {
+  QueueLoad load;
+  load.horizon_ns = state.range(0);
+  for (std::int64_t i = 0; i < state.range(0); ++i) load.arm(sim::Message{});
+  // Warm up past the first recurrences so every event is a successor.
+  load.sim.run_until(TimePoint::origin() +
+                     Duration::nanoseconds(3 * load.horizon_ns));
+  // Each event recurs every ~1.5 horizons, so a 1536 ns window pops ~1000
+  // events: run_until's end-of-segment bookkeeping amortizes away.
+  const Duration window = Duration::nanoseconds(1536);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = load.sim.events_processed();
+    load.sim.run_until(load.sim.now() + window);
+    events += load.sim.events_processed() - before;
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(100000);
 
 }  // namespace
 }  // namespace scion

@@ -218,8 +218,12 @@ void BgpSim::deliver(topo::AsIndex to, const sim::Message& msg) {
   busy_until_[to] = start;
   const BgpUpdateRef& update = msg.payload.get<BgpUpdateRef>();
   const topo::AsIndex from = as_of(msg.from);
-  SCION_METRIC_OBSERVE("bgp.update_wire_bytes", update_wire_size(*update).value());
-  sim_.schedule_at(start, kUpdateProcessLabel, [this, to, from, update] {
+  // The send hook sized the UPDATE once; the message carries that size.
+  const std::size_t wire = msg.bytes.value();
+  SCION_DCHECK(wire == update_wire_size(*update).value(),
+               "message size is not the UPDATE's wire size");
+  SCION_METRIC_OBSERVE("bgp.update_wire_bytes", wire);
+  sim_.schedule_at(start, kUpdateProcessLabel, [this, to, from, update, wire] {
     SCION_TRACE(obs::Category::kBgp, sim_.now(), "update", {"to", to},
                 {"from", from}, {"announced", update->announced.size()},
                 {"withdrawn", update->withdrawn.size()});
@@ -229,19 +233,19 @@ void BgpSim::deliver(topo::AsIndex to, const sim::Message& msg) {
       const auto it = monitors_.find(to);
       if (it != monitors_.end()) {
         ++it->second.raw_messages;
-        it->second.raw_bytes += update_wire_size(*update).value();
-        account(to, *update);
+        it->second.raw_bytes += wire;
+        account(to, *update, wire);
       }
     }
     speakers_[to]->handle_update(from, *update);
   });
 }
 
-void BgpSim::account(topo::AsIndex monitor, const BgpUpdateMsg& msg) {
+void BgpSim::account(topo::AsIndex monitor, const BgpUpdateMsg& msg,
+                     std::size_t size) {
   MonitorAccount& acc = monitors_.at(monitor);
   const std::size_t events = msg.announced.size() + msg.withdrawn.size();
   if (events == 0) return;
-  const std::size_t size = update_wire_size(msg).value();
   const double fixed_share =
       (static_cast<double>(size) -
        static_cast<double>(events) * kBgpPrefixBytes) /

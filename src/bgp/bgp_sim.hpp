@@ -128,7 +128,9 @@ class BgpSim {
   static topo::AsIndex as_of(sim::NodeId n) { return n.value(); }
 
   void deliver(topo::AsIndex to, const sim::Message& msg);
-  void account(topo::AsIndex monitor, const BgpUpdateMsg& msg);
+  /// `size` is the UPDATE's wire size (update_wire_size(msg)).
+  void account(topo::AsIndex monitor, const BgpUpdateMsg& msg,
+               std::size_t size);
   void on_link_down(topo::LinkIndex l);
   void on_link_up(topo::LinkIndex l);
   void on_session_restart(topo::LinkIndex l, util::Duration duration);

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -16,21 +15,21 @@ bool contains(const AsPath& path, topo::AsIndex as) {
   return path && std::find(path->begin(), path->end(), as) != path->end();
 }
 
-/// Decision-process ordering: higher local-pref, then shorter path, then
-/// lowest neighbor id (deterministic tie-break).
-bool better(const Speaker::Route& x, const Speaker::Route& y) {
-  const int px = local_pref(x.learned_from);
-  const int py = local_pref(y.learned_from);
-  if (px != py) return px > py;
-  if (x.length() != y.length()) return x.length() < y.length();
-  return x.neighbor < y.neighbor;
-}
-
 bool same_path(const AsPath& a, const AsPath& b) {
   if (a == b) return true;
   if (!a || !b) return false;
   return *a == *b;
 }
+
+std::size_t length(const AsPath& path) { return path ? path->size() : 0; }
+
+/// The candidate path of an own prefix: empty.
+const AsPath kNoPath;
+
+/// lower_bound comparator over the prefix-sorted row index.
+constexpr auto kRowBefore = [](const auto& ref, Prefix p) {
+  return ref.prefix < p;
+};
 
 }  // namespace
 
@@ -60,7 +59,7 @@ Speaker::Speaker(topo::AsIndex self, std::vector<NeighborInfo> neighbors,
   neighbors_.reserve(neighbors.size());
   for (const NeighborInfo& info : neighbors) {
     neighbor_index_.emplace(info.as, neighbors_.size());
-    neighbors_.push_back(NeighborState{info, true, false, {}, {}, {}, 0});
+    neighbors_.push_back(NeighborState{info, true, false, {}, {}, 0});
   }
 }
 
@@ -70,28 +69,71 @@ std::size_t Speaker::index_of(topo::AsIndex neighbor) const {
   return it->second;
 }
 
-void Speaker::originate(Prefix p) {
-  own_prefixes_.push_back(p);
-  reevaluate(p);
+const Speaker::Row* Speaker::find_row(Prefix p) const {
+  const auto it = std::lower_bound(
+      row_index_.begin(), row_index_.end(), p, kRowBefore);
+  if (it == row_index_.end() || it->prefix != p) return nullptr;
+  return &rows_[it->row];
 }
 
-std::optional<Speaker::Route> Speaker::compute_best(Prefix p) const {
-  std::optional<Route> best;
-  if (std::find(own_prefixes_.begin(), own_prefixes_.end(), p) !=
-      own_prefixes_.end()) {
-    // Self-originated: empty path, treated as a customer route for export.
-    best = Route{nullptr, Relationship::kCustomer, self_};
-  }
-  const auto it = rib_in_.find(p);
-  if (it != rib_in_.end()) {
-    for (std::size_t idx = 0; idx < neighbors_.size(); ++idx) {
-      const Route& r = it->second[idx];
-      if (!r.path) continue;
-      // Damping removes suppressed adjacencies from the decision process;
-      // graceful-restart stale routes stay eligible (that is the point).
-      if (slot_suppressed(idx, p)) continue;
-      if (!best || better(r, *best)) best = r;
-    }
+Speaker::Row* Speaker::find_row(Prefix p) {
+  return const_cast<Row*>(std::as_const(*this).find_row(p));
+}
+
+Speaker::Row& Speaker::row_for(Prefix p) {
+  const auto it = std::lower_bound(
+      row_index_.begin(), row_index_.end(), p, kRowBefore);
+  if (it != row_index_.end() && it->prefix == p) return rows_[it->row];
+  // First sight of the prefix: one row with its slot table. Later UPDATEs
+  // for the prefix hit this row.
+  row_index_.insert(it, RowRef{p, static_cast<std::uint32_t>(rows_.size())});
+  Row& row = rows_.emplace_back();
+  row.prefix = p;
+  row.slots.resize(neighbors_.size());
+  return row;
+}
+
+std::uint32_t Speaker::row_id(const Row& row) const {
+  return static_cast<std::uint32_t>(&row - rows_.data());
+}
+
+const AsPath& Speaker::path_of(const Row& row, std::uint32_t cand) const {
+  return cand == kOwnBest ? kNoPath : row.slots[cand].in;
+}
+
+Relationship Speaker::rel_of(std::uint32_t cand) const {
+  // Self-originated routes are treated as customer routes for export.
+  return cand == kOwnBest ? Relationship::kCustomer : neighbors_[cand].info.rel;
+}
+
+topo::AsIndex Speaker::as_of(std::uint32_t cand) const {
+  return cand == kOwnBest ? self_ : neighbors_[cand].info.as;
+}
+
+bool Speaker::better(const Row& row, std::uint32_t x, std::uint32_t y) const {
+  const int px = local_pref(rel_of(x));
+  const int py = local_pref(rel_of(y));
+  if (px != py) return px > py;
+  const std::size_t lx = length(path_of(row, x));
+  const std::size_t ly = length(path_of(row, y));
+  if (lx != ly) return lx < ly;
+  return as_of(x) < as_of(y);
+}
+
+void Speaker::originate(Prefix p) {
+  Row& row = row_for(p);
+  row.own = true;
+  reevaluate(row);
+}
+
+std::uint32_t Speaker::compute_best(const Row& row) const {
+  std::uint32_t best = row.own ? kOwnBest : kNoBest;
+  for (std::uint32_t idx = 0; idx < row.slots.size(); ++idx) {
+    if (!row.slots[idx].in) continue;
+    // Damping removes suppressed adjacencies from the decision process;
+    // graceful-restart stale routes stay eligible (that is the point).
+    if (slot_suppressed(idx, row.prefix)) continue;
+    if (best == kNoBest || better(row, idx, best)) best = idx;
   }
   return best;
 }
@@ -170,49 +212,75 @@ void Speaker::damping_reuse(std::size_t idx, Prefix p, std::uint32_t epoch) {
   reevaluate(p);  // the adjacency's route is eligible again
 }
 
-AsPath Speaker::make_export_path(const Route& best) const {
-  auto path = std::make_shared<std::vector<topo::AsIndex>>();
-  path->reserve(1 + best.length());
-  path->push_back(self_);
-  if (best.path) path->insert(path->end(), best.path->begin(), best.path->end());
-  return path;
+AsPath Speaker::make_export_path(const AsPath& path) const {
+  auto out = std::make_shared<std::vector<topo::AsIndex>>();
+  out->reserve(1 + length(path));
+  out->push_back(self_);
+  if (path) out->insert(out->end(), path->begin(), path->end());
+  return out;
 }
 
-void Speaker::sync_neighbor(std::size_t idx, Prefix p,
-                            const std::optional<Route>& best,
-                            const AsPath& export_path) {
+void Speaker::queue_change(std::size_t idx, Row& row, AsPath path) {
   NeighborState& n = neighbors_[idx];
+  Slot& slot = row.slots[idx];
+  if (slot.pending != 0) {
+    // Already queued since the last flush: the newer change replaces it.
+    PendingChange& change = n.pending[slot.pending - 1];
+    change.path = std::move(path);
+    change.cancelled = false;
+  } else {
+    n.pending.push_back(
+        PendingChange{row.prefix, row_id(row), std::move(path), false});
+    slot.pending = static_cast<std::uint32_t>(n.pending.size());
+  }
+  arm_mrai(idx);
+}
+
+void Speaker::clear_pending(std::size_t idx) {
+  NeighborState& n = neighbors_[idx];
+  for (const PendingChange& change : n.pending) {
+    rows_[change.row].slots[idx].pending = 0;
+  }
+  n.pending.clear();
+}
+
+void Speaker::sync_neighbor(std::size_t idx, Row& row) {
+  const NeighborState& n = neighbors_[idx];
   if (!n.up) return;
-  const bool should = best.has_value() &&
-                      may_export(best->learned_from, n.info.rel) &&
-                      n.info.as != best->neighbor;
-  const auto out_it = n.rib_out.find(p);
+  const bool should = row.best != kNoBest &&
+                      may_export(rel_of(row.best), n.info.rel) &&
+                      n.info.as != as_of(row.best);
+  Slot& slot = row.slots[idx];
   if (should) {
-    if (out_it != n.rib_out.end() && same_path(out_it->second, export_path)) {
+    if (slot.out && same_path(slot.out, row.export_path)) {
       return;  // neighbor already has this exact route
     }
-    n.rib_out[p] = export_path;
-    n.pending[p] = export_path;
-    arm_mrai(idx);
-  } else if (out_it != n.rib_out.end()) {
-    n.rib_out.erase(out_it);
-    n.pending[p] = nullptr;  // withdraw
-    arm_mrai(idx);
-  } else {
-    // Neither advertised nor to be advertised; drop any stale pending entry.
-    n.pending.erase(p);
+    slot.out = row.export_path;
+    queue_change(idx, row, row.export_path);
+  } else if (slot.out) {
+    slot.out = nullptr;
+    queue_change(idx, row, nullptr);  // withdraw
+  } else if (slot.pending != 0) {
+    // Neither advertised nor to be advertised; drop any queued change.
+    PendingChange& change = neighbors_[idx].pending[slot.pending - 1];
+    change.path = nullptr;
+    change.cancelled = true;
   }
 }
 
 void Speaker::reevaluate(Prefix p) {
-  std::optional<Route> best = compute_best(p);
-  const auto loc_it = loc_rib_.find(p);
-  const bool had = loc_it != loc_rib_.end();
+  Row* row = find_row(p);
+  SCION_DCHECK(row != nullptr, "re-decision for a prefix never seen");
+  reevaluate(*row);
+}
+
+void Speaker::reevaluate(Row& row) {
+  const std::uint32_t best = compute_best(row);
+  const bool had = row.best != kNoBest;
+  const bool has = best != kNoBest;
   const bool changed =
-      best.has_value() != had ||
-      (best.has_value() && had &&
-       (!same_path(best->path, loc_it->second.path) ||
-        best->neighbor != loc_it->second.neighbor));
+      has != had || (has && (best != row.best ||
+                             !same_path(path_of(row, best), row.best_path)));
   if (!changed) return;
 
   ++best_changes_;
@@ -220,25 +288,28 @@ void Speaker::reevaluate(Prefix p) {
   // learned over a session that is still up, or a graceful-restart stale
   // survivor (session_down without GR flushes its Adj-RIB-In slots before
   // re-deciding; with GR the stale flag licenses the down session).
-  SCION_DCHECK(!best || best->neighbor == self_ || best->stale ||
-                   neighbors_[index_of(best->neighbor)].up,
+  SCION_DCHECK(!has || best == kOwnBest || row.slots[best].stale ||
+                   neighbors_[best].up,
                "best route learned from a session that is down");
-  if (best) {
-    loc_rib_[p] = *best;
-  } else {
-    loc_rib_.erase(p);
+  if (has != had) {
+    if (has) {
+      ++loc_rib_routes_;
+    } else {
+      --loc_rib_routes_;
+    }
   }
-
-  const AsPath export_path = best ? make_export_path(*best) : nullptr;
+  row.best = best;
+  row.best_path = has ? path_of(row, best) : nullptr;
+  row.best_stale = has && best != kOwnBest && row.slots[best].stale;
+  row.export_path = has ? make_export_path(row.best_path) : nullptr;
   for (std::size_t idx = 0; idx < neighbors_.size(); ++idx) {
-    sync_neighbor(idx, p, best, export_path);
+    sync_neighbor(idx, row);
   }
 }
 
-// Once per delivered UPDATE. The RIB maps are the protocol state itself:
-// per-event lookups and growth there are the decision process, not scratch
-// churn, and the ordered containers are load-bearing for determinism (see
-// the member comments).
+// Once per delivered UPDATE. The row table is the protocol state itself:
+// per-event lookups there are the decision process, and a row is added
+// only on a prefix's first sight.
 void Speaker::handle_update(topo::AsIndex from, const BgpUpdateMsg& msg) {
   const std::size_t idx = index_of(from);
   NeighborState& n = neighbors_[idx];
@@ -249,37 +320,38 @@ void Speaker::handle_update(topo::AsIndex from, const BgpUpdateMsg& msg) {
   SCION_METRIC_COUNT("bgp.prefixes_announced", msg.announced.size());
 
   for (Prefix p : msg.withdrawn) {
-    const auto it = rib_in_.find(p);
-    if (it == rib_in_.end() || !it->second[idx].path) continue;
-    it->second[idx] = Route{};
+    Row* row = find_row(p);
+    if (row == nullptr || !row->slots[idx].in) continue;
+    row->slots[idx].in = nullptr;
+    row->slots[idx].stale = false;
     // A withdrawal of a previously held route is one flap (RFC 2439).
     if (options_.damping.enabled) damping_charge(idx, p);
-    reevaluate(p);
+    reevaluate(*row);
   }
 
   if (!msg.announced.empty()) {
     SCION_CHECK(msg.path, "announcement without an AS path");
     if (contains(msg.path, self_)) return;  // AS-path loop, discard
     for (Prefix p : msg.announced) {
-      auto [it, inserted] = rib_in_.try_emplace(p);
-      // One slot table the first time a prefix is ever seen; steady-state
-      // UPDATEs hit the existing row.
-      if (inserted) it->second.resize(neighbors_.size());
-      SCION_DCHECK(it->second.size() == neighbors_.size(),
-                   "Adj-RIB-In slot table out of sync with neighbor set");
+      Row& row = row_for(p);
+      if (!row.learned) {
+        row.learned = true;
+        ++rib_in_prefixes_;
+      }
+      Slot& slot = row.slots[idx];
       // A path change over a held route is one flap; a fresh announcement
       // (including a graceful-restart refresh of the same path) is not.
-      if (options_.damping.enabled && it->second[idx].path &&
-          !it->second[idx].stale &&
-          !same_path(it->second[idx].path, msg.path)) {
+      if (options_.damping.enabled && slot.in && !slot.stale &&
+          !same_path(slot.in, msg.path)) {
         damping_charge(idx, p);
       }
-      it->second[idx] = Route{msg.path, n.info.rel, from};
-      reevaluate(p);
+      slot.in = msg.path;
+      slot.stale = false;
+      reevaluate(row);
     }
   }
-  SCION_METRIC_GAUGE_MAX("bgp.loc_rib_routes", loc_rib_.size());
-  SCION_METRIC_GAUGE_MAX("bgp.rib_in_prefixes", rib_in_.size());
+  SCION_METRIC_GAUGE_MAX("bgp.loc_rib_routes", loc_rib_routes_);
+  SCION_METRIC_GAUGE_MAX("bgp.rib_in_prefixes", rib_in_prefixes_);
 }
 
 void Speaker::session_down(topo::AsIndex neighbor, bool forwarding_preserved) {
@@ -287,8 +359,8 @@ void Speaker::session_down(topo::AsIndex neighbor, bool forwarding_preserved) {
   NeighborState& n = neighbors_[idx];
   if (!n.up) return;
   n.up = false;
-  n.pending.clear();
-  n.rib_out.clear();
+  clear_pending(idx);
+  for (Row& row : rows_) row.slots[idx].out = nullptr;
   ++n.gr_epoch;
 
   // Graceful restart only helps when the data plane through the neighbor
@@ -300,9 +372,10 @@ void Speaker::session_down(topo::AsIndex neighbor, bool forwarding_preserved) {
     // flushing. They stay in the decision process; the stale timer flushes
     // them if the session never comes back.
     std::size_t retained = 0;
-    for (auto& [p, slots] : rib_in_) {
-      if (slots[idx].path && !slots[idx].stale) {
-        slots[idx].stale = true;
+    for (Row& row : rows_) {
+      Slot& slot = row.slots[idx];
+      if (slot.in && !slot.stale) {
+        slot.stale = true;
         ++retained;
       }
     }
@@ -316,13 +389,15 @@ void Speaker::session_down(topo::AsIndex neighbor, bool forwarding_preserved) {
     return;
   }
 
-  // Drop everything learned from this neighbor and re-decide. Each lost
-  // route counts as one flap against its adjacency.
-  for (auto& [p, slots] : rib_in_) {
-    if (slots[idx].path) {
-      slots[idx] = Route{};
-      if (options_.damping.enabled) damping_charge(idx, p);
-      reevaluate(p);
+  // Drop everything learned from this neighbor and re-decide in prefix
+  // order. Each lost route counts as one flap against its adjacency.
+  for (const RowRef& ref : row_index_) {
+    Row& row = rows_[ref.row];
+    if (row.slots[idx].in) {
+      row.slots[idx].in = nullptr;
+      row.slots[idx].stale = false;
+      if (options_.damping.enabled) damping_charge(idx, ref.prefix);
+      reevaluate(row);
     }
   }
 }
@@ -338,13 +413,9 @@ void Speaker::session_up(topo::AsIndex neighbor) {
     // Re-sync: the peer replays its full table, refreshing stale routes as
     // the announcements land. Whatever is still stale once the replay
     // window closes no longer exists on the peer and must be swept.
-    bool any_stale = false;
-    for (const auto& [p, slots] : rib_in_) {
-      if (slots[idx].stale) {
-        any_stale = true;
-        break;
-      }
-    }
+    const bool any_stale = std::any_of(
+        rows_.begin(), rows_.end(),
+        [idx](const Row& row) { return row.slots[idx].stale; });
     if (any_stale) {
       const std::uint32_t epoch = n.gr_epoch;
       schedule_(options_.graceful_restart.resync_flush_delay,
@@ -353,21 +424,25 @@ void Speaker::session_up(topo::AsIndex neighbor) {
     }
   }
 
-  // Full table export towards the restored session.
-  for (const auto& [p, best] : loc_rib_) {
-    sync_neighbor(idx, p, best, make_export_path(best));
+  // Full table export towards the restored session, reusing each row's
+  // export path.
+  for (const RowRef& ref : row_index_) {
+    Row& row = rows_[ref.row];
+    if (row.best != kNoBest) sync_neighbor(idx, row);
   }
 }
 
 void Speaker::flush_stale(std::size_t idx, std::uint32_t epoch) {
   NeighborState& n = neighbors_[idx];
   if (n.gr_epoch != epoch) return;  // session flipped since this was armed
-  for (auto& [p, slots] : rib_in_) {
-    if (slots[idx].stale) {
-      slots[idx] = Route{};
+  for (const RowRef& ref : row_index_) {
+    Row& row = rows_[ref.row];
+    if (row.slots[idx].stale) {
+      row.slots[idx].in = nullptr;
+      row.slots[idx].stale = false;
       ++stale_expired_;
       SCION_METRIC_COUNT("bgp.gr_stale_expired", 1);
-      reevaluate(p);
+      reevaluate(row);
     }
   }
 }
@@ -377,29 +452,28 @@ bool Speaker::session_is_up(topo::AsIndex neighbor) const {
 }
 
 std::optional<Speaker::Route> Speaker::best(Prefix p) const {
-  const auto it = loc_rib_.find(p);
-  if (it == loc_rib_.end()) return std::nullopt;
-  return it->second;
+  const Row* row = find_row(p);
+  if (row == nullptr || row->best == kNoBest) return std::nullopt;
+  return Route{row->best_path, rel_of(row->best), as_of(row->best),
+               row->best_stale};
 }
 
 std::vector<Speaker::Route> Speaker::multipath(Prefix p) const {
   std::vector<Route> out;
-  const auto best_it = loc_rib_.find(p);
-  if (best_it == loc_rib_.end()) return out;
-  const Route& best = best_it->second;
-  if (best.neighbor == self_) {
-    out.push_back(best);  // own prefix
+  const std::optional<Route> best = this->best(p);
+  if (!best) return out;
+  if (best->neighbor == self_) {
+    out.push_back(*best);  // own prefix
     return out;
   }
-  const auto it = rib_in_.find(p);
-  if (it == rib_in_.end()) return out;
-  for (std::size_t idx = 0; idx < neighbors_.size(); ++idx) {
-    const Route& r = it->second[idx];
-    if (!r.path) continue;
+  const Row& row = *find_row(p);
+  for (std::uint32_t idx = 0; idx < row.slots.size(); ++idx) {
+    if (!row.slots[idx].in) continue;
     if (slot_suppressed(idx, p)) continue;
-    if (local_pref(r.learned_from) == local_pref(best.learned_from) &&
-        r.length() == best.length()) {
-      out.push_back(r);
+    if (local_pref(rel_of(idx)) == local_pref(best->learned_from) &&
+        length(row.slots[idx].in) == best->length()) {
+      out.push_back(Route{row.slots[idx].in, rel_of(idx), as_of(idx),
+                          row.slots[idx].stale});
     }
   }
   return out;
@@ -424,51 +498,48 @@ void Speaker::arm_mrai(std::size_t idx) {
 void Speaker::flush(std::size_t idx) {
   NeighborState& n = neighbors_[idx];
   if (!n.up || n.pending.empty()) {
-    n.pending.clear();
+    clear_pending(idx);
     return;
   }
 
-  // Aggregate: announcements sharing an AS path go into one UPDATE;
-  // withdrawals ride along with the first message (RFC 4271 allows both in
-  // one UPDATE) or form their own if there is nothing to announce. Groups
-  // are kept in first-seen order over the prefix-ordered pending map, so
-  // the UPDATE sequence is a pure function of the pending set — keying the
-  // groups by path pointer would let heap addresses order the messages.
-  std::vector<BgpUpdateMsg> grouped;
-  std::unordered_map<const void*, std::size_t> group_of_path;  // lookup only
+  // One UPDATE per announced prefix, in prefix order; withdrawals ride
+  // along with the first one (RFC 4271 allows both in one UPDATE) or form
+  // their own if there is nothing to announce. Sorting by prefix makes the
+  // UPDATE sequence a pure function of the pending set.
+  std::sort(n.pending.begin(), n.pending.end(),
+            [](const PendingChange& a, const PendingChange& b) {
+              return a.prefix < b.prefix;
+            });
   std::vector<Prefix> withdrawals;
-  for (const auto& [p, path] : n.pending) {
-    if (path) {
-      const auto [it, inserted] =
-          group_of_path.try_emplace(path.get(), grouped.size());
-      if (inserted) {
-        grouped.emplace_back();
-        grouped.back().path = path;
-      }
-      // Prefixes arrive in ascending order from the ordered pending map.
-      grouped[it->second].announced.push_back(p);
-    } else {
-      withdrawals.push_back(p);
-    }
+  for (const PendingChange& change : n.pending) {
+    rows_[change.row].slots[idx].pending = 0;
+    if (!change.cancelled && !change.path) withdrawals.push_back(change.prefix);
   }
-  n.pending.clear();
-
-  if (!withdrawals.empty()) {
-    if (!grouped.empty()) {
-      grouped.front().withdrawn = std::move(withdrawals);
-    } else {
-      BgpUpdateMsg msg;
-      msg.withdrawn = std::move(withdrawals);
-      ++updates_sent_;
-      SCION_METRIC_COUNT("bgp.updates_sent", 1);
-      send_(n.info.as, std::move(msg));
-    }
-  }
-  for (BgpUpdateMsg& msg : grouped) {
+  bool first = true;
+  for (PendingChange& change : n.pending) {
+    if (change.cancelled || !change.path) continue;
+    // An announced path is the prefix's own Adj-RIB-Out entry, built by its
+    // row: paths to different prefixes are different objects, so grouping
+    // announcements by path could never merge two prefixes into one UPDATE.
+    SCION_DCHECK(change.path == rows_[change.row].slots[idx].out,
+                 "pending announcement is not the prefix's Adj-RIB-Out path");
+    BgpUpdateMsg msg;
+    msg.announced.push_back(change.prefix);
+    msg.path = std::move(change.path);
+    if (first) msg.withdrawn = std::move(withdrawals);
+    first = false;
     ++updates_sent_;
     SCION_METRIC_COUNT("bgp.updates_sent", 1);
     send_(n.info.as, std::move(msg));
   }
+  if (first && !withdrawals.empty()) {
+    BgpUpdateMsg msg;
+    msg.withdrawn = std::move(withdrawals);
+    ++updates_sent_;
+    SCION_METRIC_COUNT("bgp.updates_sent", 1);
+    send_(n.info.as, std::move(msg));
+  }
+  n.pending.clear();  // keeps its capacity for the next MRAI round
 }
 
 }  // namespace scion::bgp

@@ -6,10 +6,17 @@
 // Implements Adj-RIB-In / Loc-RIB / Adj-RIB-Out, the Gao-Rexford decision
 // process (local-pref by relationship, then shortest AS path, then lowest
 // neighbor id), per-neighbor MRAI batching (15 s in the evaluation) with
-// seeded jitter, route aggregation (announcements sharing a path go into
-// one UPDATE), session up/down handling for link-flap churn, and a
+// seeded jitter, session up/down handling for link-flap churn, and a
 // multipath accessor returning the equal-best route set used by the Fig. 6
-// BGP series.
+// BGP series. A flush sends one UPDATE per announced prefix: each
+// simulated prefix is its own origin with its own path, so no two share
+// one. Per-origin prefix aggregation is modelled at accounting time
+// instead (kPrefixesPerRealUpdate in bgp/messages.hpp).
+//
+// State is one row per prefix (see Row): every per-prefix table of the
+// textbook speaker (Adj-RIB-In, Loc-RIB, each neighbor's Adj-RIB-Out) is a
+// field or a per-neighbor slot of that row, so an UPDATE finds all of it
+// with one lookup and a re-decision copies no routes.
 //
 // Churn-survival mechanisms (both default-off so steady-state runs are
 // byte-identical to the pre-churn configuration):
@@ -171,16 +178,58 @@ class Speaker {
     std::uint32_t epoch{0};
   };
 
+  /// Where a row's best route comes from: a neighbor slot index, or one of
+  /// these two sentinels.
+  static constexpr std::uint32_t kNoBest = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kOwnBest = 0xFFFFFFFEu;
+
+  /// One (prefix, neighbor) cell of a Row. The relationship and neighbor AS
+  /// follow from the slot index (NeighborInfo), so they are not stored.
+  struct Slot {
+    /// Adj-RIB-In: the path learned from the neighbor (null = no route).
+    AsPath in;
+    /// Adj-RIB-Out: the path the neighbor believes (null = none).
+    AsPath out;
+    /// 1 + index of this prefix's change in the neighbor's pending
+    /// vector; 0 = none since the last flush.
+    std::uint32_t pending{0};
+    /// Graceful-restart survivor (see Route::stale).
+    bool stale{false};
+  };
+
+  /// Everything the speaker holds about one prefix. Rows appear on a
+  /// prefix's first sight (originate or announcement) and are never freed.
+  struct Row {
+    std::vector<Slot> slots;  // one per neighbor, in neighbors_ order
+    /// Loc-RIB: the winning path as it was when it won (null for an own
+    /// prefix) and the path advertised for it, [self] + best_path, built
+    /// once per best change.
+    AsPath best_path;
+    AsPath export_path;
+    Prefix prefix{};
+    std::uint32_t best{kNoBest};
+    /// The winning slot's stale flag when it won (what best() reports).
+    bool best_stale{false};
+    bool own{false};      // originated by this speaker
+    bool learned{false};  // announced by some neighbor at least once
+  };
+
+  /// One queued Adj-RIB-Out change towards a neighbor, at most one per
+  /// prefix (re-queueing overwrites it in place).
+  struct PendingChange {
+    Prefix prefix;
+    std::uint32_t row;
+    AsPath path;            // null = withdraw
+    bool cancelled{false};  // nothing to send after all
+  };
+
   struct NeighborState {
     NeighborInfo info;
     bool up{true};
     bool mrai_armed{false};
-    /// prefix -> advertised path (what the neighbor believes). Lookup-only,
-    /// so the unordered container cannot leak iteration order into output.
-    std::unordered_map<Prefix, AsPath> rib_out;
-    /// prefix -> path to announce (null = withdraw), flushed on MRAI fire.
-    /// Ordered: flush() iterates it, and that order decides UPDATE packing.
-    std::map<Prefix, AsPath> pending;
+    /// Changes to send on the next MRAI flush, which sorts them by prefix:
+    /// that order decides the UPDATE sequence.
+    std::vector<PendingChange> pending;
     /// Damping state per flapped prefix (entries appear on first charge;
     /// steady-state charges are lookups). Ordered for deterministic
     /// debugging walks; never iterated on the hot path.
@@ -190,16 +239,40 @@ class Speaker {
     std::uint32_t gr_epoch{0};
   };
 
+  /// rows_ index entry; row_index_ is sorted by prefix.
+  struct RowRef {
+    Prefix prefix;
+    std::uint32_t row;
+  };
+
   std::size_t index_of(topo::AsIndex neighbor) const;
+  const Row* find_row(Prefix p) const;
+  Row* find_row(Prefix p);
+  /// The prefix's row, created on first sight.
+  Row& row_for(Prefix p);
+  std::uint32_t row_id(const Row& row) const;
+
+  /// Attributes of a best candidate (slot index or kOwnBest).
+  const AsPath& path_of(const Row& row, std::uint32_t cand) const;
+  Relationship rel_of(std::uint32_t cand) const;
+  topo::AsIndex as_of(std::uint32_t cand) const;
+  /// Decision-process order: higher local-pref, then shorter path, then
+  /// lowest neighbor id.
+  bool better(const Row& row, std::uint32_t x, std::uint32_t y) const;
+
   void reevaluate(Prefix p);
-  /// Brings one neighbor's Adj-RIB-Out in line with the current best.
-  void sync_neighbor(std::size_t idx, Prefix p,
-                     const std::optional<Route>& best, const AsPath& export_path);
+  void reevaluate(Row& row);
+  /// Brings one neighbor's Adj-RIB-Out in line with the row's best.
+  void sync_neighbor(std::size_t idx, Row& row);
+  /// Queues `path` (null = withdraw) for the neighbor's next flush.
+  void queue_change(std::size_t idx, Row& row, AsPath path);
+  void clear_pending(std::size_t idx);
   void arm_mrai(std::size_t idx);
   void flush(std::size_t idx);
-  std::optional<Route> compute_best(Prefix p) const;
-  /// Builds [self] + best.path once per re-decision.
-  AsPath make_export_path(const Route& best) const;
+  /// The winning candidate: a slot index, kOwnBest, or kNoBest.
+  std::uint32_t compute_best(const Row& row) const;
+  /// Builds [self] + path once per best change.
+  AsPath make_export_path(const AsPath& path) const;
 
   /// Damping machinery: charge one flap against (neighbor idx, prefix);
   /// the caller reevaluates afterwards. Suppression state may flip inside.
@@ -224,13 +297,16 @@ class Speaker {
 
   std::vector<NeighborState> neighbors_;
   std::unordered_map<topo::AsIndex, std::size_t> neighbor_index_;
-  /// prefix -> per-neighbor-slot route (empty path = no route). Ordered:
-  /// session_down() re-decides every prefix in iteration order, which feeds
-  /// the MRAI jitter RNG and therefore the message sequence.
-  std::map<Prefix, std::vector<Route>> rib_in_;
-  /// Ordered: session_up() replays it as the full-table export.
-  std::map<Prefix, Route> loc_rib_;
-  std::vector<Prefix> own_prefixes_;
+  /// Rows in first-sight order (indices are stable: PendingChange keeps
+  /// them), and the prefix-sorted index over them. Every whole-table walk
+  /// (session_down's re-decisions, session_up's full export, stale sweeps)
+  /// goes through row_index_, so it runs in prefix order, which feeds the
+  /// MRAI jitter RNG and therefore the message sequence.
+  std::vector<Row> rows_;
+  std::vector<RowRef> row_index_;
+  /// Gauges: rows ever announced by a neighbor, and rows with a best.
+  std::size_t rib_in_prefixes_{0};
+  std::size_t loc_rib_routes_{0};
 
   std::uint64_t updates_sent_{0};
   std::uint64_t updates_received_{0};

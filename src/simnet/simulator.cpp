@@ -9,12 +9,22 @@
 
 namespace scion::sim {
 
-// Once per scheduled event: the queue push is the only permitted growth
-// (amortized vector doubling), and Callback keeps closures inline.
+// Once per scheduled event: the heap push, the arena slot and the free list
+// grow only with queue depth (amortized vector doubling), and Callback keeps
+// closures inline, so steady-state scheduling never allocates.
 void Simulator::schedule_at(TimePoint t, obs::EventLabel label, Callback fn) {
   SCION_CHECK(t >= now_, "cannot schedule events in the past");
-  queue_.push(Event{t, next_seq_++, label, std::move(fn)});
-  if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
+  auto slot = static_cast<std::uint32_t>(callbacks_.size());
+  if (free_slots_.empty()) {
+    callbacks_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(fn);
+  }
+  heap_.push_back(Key{t, next_seq_++, slot, label});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  if (heap_.size() > queue_high_water_) queue_high_water_ = heap_.size();
 }
 
 void Simulator::schedule_after(Duration d, obs::EventLabel label,
@@ -53,9 +63,13 @@ void Simulator::cancel_periodic(TimerId id) {
 
 // Executes once per event — the innermost loop of every simulation.
 void Simulator::pop_and_run() {
-  // Move, not copy: steals the callback out of the queue slot.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key ev = heap_.back();
+  heap_.pop_back();
+  // Move the callback out and free its slot before invoking it, so events
+  // the handler schedules can reuse the slot.
+  Callback fn = std::move(callbacks_[ev.slot]);
+  free_slots_.push_back(ev.slot);
   // The queue invariant every determinism claim rests on: virtual time only
   // moves forward, so same-time events run in scheduling (seq) order.
   SCION_CHECK(ev.time >= now_, "event queue time went backwards");
@@ -68,27 +82,27 @@ void Simulator::pop_and_run() {
   // simulation), so runs are byte-identical with this on or off —
   // test_determinism proves it.
   if (obs::event_profiling_enabled()) {
-    shard_.maybe_sample_queue(now_.ns(), queue_.size());
+    shard_.maybe_sample_queue(now_.ns(), heap_.size());
     const std::uint64_t allocs0 = obs::thread_allocs();
     const std::uint64_t bytes0 = obs::thread_alloc_bytes();
     const std::int64_t wall0 = obs::profiler_wall_now_ns();
-    ev.fn();
+    fn();
     shard_.record(ev.label, obs::thread_allocs() - allocs0,
                   obs::thread_alloc_bytes() - bytes0,
                   obs::profiler_wall_now_ns() - wall0);
     return;
   }
-  ev.fn();
+  fn();
 }
 
 void Simulator::run() {
-  while (!queue_.empty()) pop_and_run();
+  while (!heap_.empty()) pop_and_run();
   publish_metrics();
   shard_.flush();
 }
 
 void Simulator::run_until(TimePoint end) {
-  while (!queue_.empty() && queue_.top().time <= end) pop_and_run();
+  while (!heap_.empty() && heap_.front().time <= end) pop_and_run();
   now_ = std::max(now_, end);
   publish_metrics();
   shard_.flush();

@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,7 +39,8 @@ class Simulator {
   /// lambda, `this` + an 80-byte Message, pinned by a static_assert
   /// there), so scheduling an event never allocates. Larger captures fall
   /// back to the heap and show up in the allocation budgets
-  /// (test_alloc_budget).
+  /// (test_alloc_budget). The event heap never holds a Callback: each one
+  /// waits in a slot arena, and the heap orders 24-byte keys naming slots.
   using Callback = util::SmallFn<96>;
 
   /// Current virtual time.
@@ -95,21 +96,30 @@ class Simulator {
   std::uint64_t events_processed() const { return processed_; }
 
   /// Events currently pending.
-  std::size_t pending() const { return queue_.size(); }
+  std::size_t pending() const { return heap_.size(); }
 
   /// Largest queue depth observed since construction.
   std::size_t queue_high_water() const { return queue_high_water_; }
 
+  /// Callback slots in the arena: the largest number of callbacks ever held
+  /// at once (slots are recycled, so this grows only with queue depth).
+  std::size_t callback_slots() const { return callbacks_.size(); }
+
  private:
-  struct Event {
+  /// Heap entry: trivially copyable, so a sift moves 24 bytes instead of a
+  /// closure. The callback itself waits in callbacks_[slot].
+  struct Key {
     TimePoint time;
     std::uint64_t seq;
+    std::uint32_t slot;
     /// Cost-attribution tag (obs/event_profile.hpp).
     obs::EventLabel label;
-    Callback fn;
   };
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+  /// Max-heap comparator that puts the earliest (time, seq) on top; a
+  /// strict total order, so the pop sequence is unique.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
@@ -130,7 +140,11 @@ class Simulator {
   std::uint64_t next_seq_{0};
   std::uint64_t processed_{0};
   std::size_t queue_high_water_{0};
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Key> heap_;
+  // Slot arena: each pending callback is moved in once by schedule_at and
+  // out once by pop_and_run; freed slots are reused LIFO.
+  std::vector<Callback> callbacks_;
+  std::vector<std::uint32_t> free_slots_;
   // Deque, not vector: fire_periodic holds a reference across the user
   // callback, and a callback that registers a new periodic timer must not
   // invalidate it (a vector's push_back reallocation would).

@@ -46,14 +46,14 @@ constexpr double kBeaconingBudget = 8.04;
 // Measured 141.930 / 141.873.
 constexpr double kControlPlaneBudget = 142.43;
 // BGP: per update sent (handle_update -> reevaluate -> flush -> deliver).
-// Measured 11.419 / 11.170.
-constexpr double kBgpBudget = 11.92;
+// Measured 6.627 / 6.378.
+constexpr double kBgpBudget = 7.13;
 // BGP under sustained churn with flap damping + graceful restart enabled:
 // the survival bookkeeping (lazy penalty decay, reuse timers, stale
 // marking/sweeps) must stay O(1) amortized per UPDATE — damping state nodes
 // appear once per flapped adjacency and reuse/GR timers once per episode,
-// not per update. Measured 10.488 / 10.402.
-constexpr double kChurnBgpBudget = 10.99;
+// not per update. Measured 4.201 / 4.115.
+constexpr double kChurnBgpBudget = 4.71;
 
 void expect_within_budget(std::string_view phase, const micro::MicroRun& run,
                           double budget) {

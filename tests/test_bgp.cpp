@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <utility>
@@ -493,6 +495,93 @@ TEST(BgpSim, PrefixCountsScaleAccounting) {
       sim.monthly_bgpsec_bytes(0, ones) / sim.monthly_bgp_bytes(0, ones);
   EXPECT_GT(ratio, 4.0);
   EXPECT_LT(ratio, 40.0);
+}
+
+// --- Pinned outputs ---------------------------------------------------------------
+
+/// FNV-1a over the bytes of 64-bit words.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+  void add(const Speaker::Route& r) {
+    add(std::uint64_t{r.path ? r.path->size() : 0});
+    if (r.path) {
+      for (topo::AsIndex as : *r.path) add(std::uint64_t{as});
+    }
+    add(static_cast<std::uint64_t>(r.learned_from));
+    add(std::uint64_t{r.neighbor});
+    add(std::uint64_t{r.stale});
+  }
+};
+
+// Pins what the speaker's RIB layout and the UPDATE packing feed into: every
+// monitor's per-origin account (so the exact UPDATE stream every AS saw) and
+// every speaker's best and multipath routes, on a small network with flap
+// damping, graceful restart, session restarts and churn all engaged. The
+// expected hashes were recorded with the RIB kept as per-prefix maps (one
+// Adj-RIB-In map, a Loc-RIB map, and per-neighbor Adj-RIB-Out and pending
+// maps) and UPDATEs grouped by path object; any layout change must
+// reproduce them exactly.
+TEST(BgpSim, PinnedAccountsAndRoutesUnderChurn) {
+  topo::HierarchyConfig h;
+  h.n_ases = 40;
+  h.n_roots = 3;
+  h.seed = 8;
+  const topo::Topology t = topo::generate_hierarchy(h);
+  BgpSimConfig config = quick_bgp_config();
+  config.churn_window = Duration::minutes(40);
+  config.flaps_per_adjacency_per_day = 300.0;
+  config.damping.enabled = true;
+  config.damping.half_life = Duration::minutes(5);
+  config.graceful_restart.enabled = true;
+  for (topo::LinkIndex l : {0u, 1u}) {
+    faults::Event ev;
+    ev.kind = faults::Event::Kind::kSessionRestart;
+    ev.target = l;
+    ev.at = Duration::minutes(5 + 10 * l);
+    ev.duration = Duration::seconds(90);
+    config.faults.events.push_back(ev);
+  }
+  BgpSim sim{t, config};
+  for (topo::AsIndex as = 0; as < t.as_count(); ++as) sim.add_monitor(as);
+  sim.run();
+  // The mechanisms under test must actually have engaged.
+  ASSERT_GT(sim.total_routes_suppressed(), 0u);
+  ASSERT_GT(sim.total_stale_retained(), 0u);
+
+  Fnv1a accounts;
+  for (topo::AsIndex as = 0; as < t.as_count(); ++as) {
+    const MonitorAccount& acc = sim.monitor(as);
+    accounts.add(acc.raw_messages);
+    accounts.add(acc.raw_bytes);
+    for (const auto& [origin, o] : acc.per_origin) {
+      accounts.add(std::uint64_t{origin});
+      accounts.add(o.announce_events);
+      accounts.add(o.withdraw_events);
+      accounts.add(o.path_len_sum);
+      accounts.add(o.fixed_share_sum);
+    }
+  }
+  Fnv1a routes;
+  for (topo::AsIndex as = 0; as < t.as_count(); ++as) {
+    for (Prefix origin : sim.origins()) {
+      const auto best = sim.speaker(as).best(origin);
+      routes.add(std::uint64_t{best.has_value()});
+      if (best) routes.add(*best);
+      const auto multipath = sim.speaker(as).multipath(origin);
+      routes.add(std::uint64_t{multipath.size()});
+      for (const Speaker::Route& r : multipath) routes.add(r);
+    }
+  }
+  EXPECT_EQ(sim.total_updates_sent(), 17004u);
+  EXPECT_EQ(accounts.h, 14730199424560758643ULL);
+  EXPECT_EQ(routes.h, 15459443083175205050ULL);
 }
 
 }  // namespace

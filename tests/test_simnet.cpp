@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
 #include "simnet/network.hpp"
 #include "simnet/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace scion::sim {
 namespace {
@@ -129,6 +134,89 @@ TEST(Simulator, PeriodicCallbackMayRegisterNewPeriodics) {
   sim.run();
   EXPECT_EQ(outer, 4);
   EXPECT_EQ(inner, 4);
+}
+
+// The key-only heap must pop exactly the order a std::priority_queue over
+// (time, seq) gives, under heavy ties, events at `now` and events scheduled
+// from inside handlers. Every child is scheduled at or after its parent's
+// time with a larger seq, so the whole execution order is the (time, seq)
+// order of everything ever scheduled.
+TEST(Simulator, OrderMatchesReferencePriorityQueue) {
+  struct Scheduled {
+    std::int64_t time;
+    std::uint64_t seq;
+    bool operator>(const Scheduled& o) const {
+      return time != o.time ? time > o.time : seq > o.seq;
+    }
+  };
+  constexpr std::uint64_t kEvents = 10000;
+  Simulator sim;
+  util::Rng rng{2024};
+  std::vector<Scheduled> scheduled;
+  std::vector<std::uint64_t> executed;
+  // Captures a shared_ptr so a callback the arena failed to destroy would
+  // show up in the use count after the run.
+  const auto token = std::make_shared<int>(0);
+  std::function<void(std::int64_t)> schedule = [&](std::int64_t t) {
+    const std::uint64_t seq = scheduled.size();
+    scheduled.push_back(Scheduled{t, seq});
+    sim.schedule_at(TimePoint::from_ns(t), [&, seq, token] {
+      executed.push_back(seq);
+      // A third of the handlers schedule up to two children, some at now.
+      const int children = static_cast<int>(rng.uniform_int(0, 5)) - 3;
+      for (int c = 0; c < children && scheduled.size() < kEvents; ++c) {
+        schedule(sim.now().ns() + rng.uniform_int(0, 3) * 10);
+      }
+    });
+  };
+  // Few distinct times, so most events tie on time and seq decides.
+  while (scheduled.size() < kEvents / 2) schedule(rng.uniform_int(0, 50) * 10);
+  EXPECT_EQ(sim.pending(), kEvents / 2);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_processed(), scheduled.size());
+  EXPECT_GT(scheduled.size(), kEvents * 3 / 4) << "handlers scheduled too little";
+  EXPECT_EQ(token.use_count(), 1) << "a finished callback was not destroyed";
+
+  std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>> ref(
+      std::greater<>{}, scheduled);
+  std::vector<std::uint64_t> expected;
+  while (!ref.empty()) {
+    expected.push_back(ref.top().seq);
+    ref.pop();
+  }
+  EXPECT_EQ(executed, expected);
+}
+
+TEST(Simulator, HandlerReusesItsOwnCallbackSlot) {
+  // pop_and_run frees the running event's slot before invoking it, so a
+  // chain where each handler schedules its successor never needs a second
+  // slot, and pending() never counts the running event.
+  Simulator sim;
+  int fired = 0;
+  std::vector<std::size_t> pending_seen;
+  std::function<void()> step = [&] {
+    pending_seen.push_back(sim.pending());
+    if (++fired < 100) sim.schedule_after(Duration::nanoseconds(1), step);
+  };
+  sim.schedule_after(Duration::nanoseconds(1), step);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 100);
+  EXPECT_EQ(sim.callback_slots(), 1u);
+  EXPECT_EQ(pending_seen, std::vector<std::size_t>(100, 0));
+
+  // Slots grow with queue depth only: three at once need three, and the
+  // freed ones serve the next batch.
+  for (int i = 0; i < 3; ++i) sim.schedule_after(Duration::seconds(1), [] {});
+  EXPECT_EQ(sim.pending(), 3u);
+  EXPECT_EQ(sim.callback_slots(), 3u);
+  sim.run();
+  for (int i = 0; i < 2; ++i) sim.schedule_after(Duration::seconds(1), [] {});
+  EXPECT_EQ(sim.callback_slots(), 3u);
+  EXPECT_EQ(sim.queue_high_water(), 3u);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(Network, DeliversAfterLatency) {
