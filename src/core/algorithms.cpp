@@ -80,19 +80,18 @@ void DiversityState::expire(TimePoint now) {
     std::pop_heap(expiry_queue_.begin(), expiry_queue_.end(), kExpiresLater);
     const SentKey key = expiry_queue_.back().key;
     expiry_queue_.pop_back();
-    const auto it = sent_.find(key);
-    if (it == sent_.end()) continue;  // already purged by an earlier entry
-    if (it->second.instance_expiry > now) {
+    const SentRecord* record = sent_.find(key);
+    if (record == nullptr) continue;  // already purged by an earlier entry
+    if (record->instance_expiry > now) {
       // Refreshed since this entry was queued: due at its new expiry.
-      schedule_expiry(it->second.instance_expiry, key);
+      schedule_expiry(record->instance_expiry, key);
       continue;
     }
     // remove_path decrements commute, so expiry order is irrelevant.
     if (params_.decrement_on_expiry) {
-      history(it->second.origin, it->second.neighbor)
-          .remove_path(it->second.links);
+      history(record->origin, record->neighbor).remove_path(record->links);
     }
-    sent_.erase(it);
+    sent_.erase(key);
   }
 }
 
@@ -127,12 +126,12 @@ std::vector<Candidate> DiversityState::select_and_commit(
     for (topo::LinkIndex egress : egress_links) {
       Combination c{&s, egress, Kind::kFresh, 0.0, s.pcb->age(now),
                     s.pcb->lifetime(), latency, 0, 0};
-      const auto sent_it = sent_.find(SentKey{s.path_key, egress});
-      if (sent_it != sent_.end() && sent_it->second.instance_expiry > now) {
+      const SentRecord* sent = sent_.find(SentKey{s.path_key, egress});
+      if (sent != nullptr && sent->instance_expiry > now) {
         c.kind = Kind::kFixed;
-        c.score = score_previously_sent(
-            sent_it->second.diversity, sent_it->second.instance_expiry - now,
-            s.pcb->remaining_lifetime(now), params_);
+        c.score = score_previously_sent(sent->diversity,
+                                        sent->instance_expiry - now,
+                                        s.pcb->remaining_lifetime(now), params_);
       } else {
         c.links_begin = static_cast<std::uint32_t>(combination_links_.size());
         for (topo::LinkIndex l : s.links) combination_links_.push_back(canon(l));
@@ -234,34 +233,33 @@ void DiversityState::commit_canonical(
   // diversity score persists from the original send (recomputing it under
   // the since-grown counters would drive refreshed paths' scores to zero
   // and connectivity maintenance would die out after a few lifetimes).
-  const auto sent_it = sent_.find(key);
-  if (sent_it != sent_.end()) {
-    SentRecord& record = sent_it->second;
+  const auto [record, inserted] = sent_.try_emplace(key);
+  if (inserted) {
+    schedule_expiry(instance_expiry, key);
+  } else {
     // An earlier expiry needs an earlier queue entry; a later one is
     // re-queued when the current entry comes due.
-    if (instance_expiry < record.instance_expiry) {
+    if (instance_expiry < record->instance_expiry) {
       schedule_expiry(instance_expiry, key);
     }
-    if (record.instance_expiry > now) {
-      record.instance_timestamp = instance_timestamp;
-      record.instance_expiry = instance_expiry;
+    if (record->instance_expiry > now) {
+      record->instance_timestamp = instance_timestamp;
+      record->instance_expiry = instance_expiry;
       return;
     }
-  } else {
-    schedule_expiry(instance_expiry, key);
   }
 
   LinkHistoryTable& table = history(origin, neighbor_as);
   table.add_path(canonical);
-  SentRecord record;
-  record.origin = origin;
-  record.neighbor = neighbor_as;
-  record.diversity = diversity_score(table, canonical, params_);
-  record.instance_timestamp = instance_timestamp;
-  record.instance_expiry = instance_expiry;
+  record->origin = origin;
+  record->neighbor = neighbor_as;
+  record->diversity = diversity_score(table, canonical, params_);
+  record->instance_timestamp = instance_timestamp;
+  record->instance_expiry = instance_expiry;
   // Canonicalized: expire() must decrement exactly what was incremented.
-  record.links.assign(canonical.begin(), canonical.end());
-  sent_[key] = std::move(record);
+  if (params_.decrement_on_expiry) {
+    record->links.assign(canonical.begin(), canonical.end());
+  }
 }
 
 topo::LinkIndex DiversityState::canon(topo::LinkIndex l) const {

@@ -51,8 +51,8 @@ std::vector<Candidate> baseline_select(std::span<const StoredPcb> bucket,
                                        std::size_t limit, TimePoint now);
 
 /// Mutable state of the diversity algorithm in one beacon server: the Link
-/// History Tables (per [origin, neighbor]) and the Sent PCBs Lists (per
-/// egress interface, flattened into one map keyed by path+egress).
+/// History Tables (per [origin, neighbor]) and the Sent PCBs Lists (all
+/// egress interfaces in one SentPcbsList keyed by path+egress).
 class DiversityState {
  public:
   explicit DiversityState(DiversityParams params,

@@ -323,12 +323,11 @@ void BeaconServer::originate_diversity(TimePoint now) {
         double score = 0.0;
         // Peek at the sent list through select-independent bookkeeping: we
         // duplicate minimal logic here because origin PCBs are not stored.
-        const auto& sent = div.sent();
-        const auto it = sent.find(key);
+        const SentRecord* sent = div.sent().find(key);
         const std::array<topo::LinkIndex, 1> link_path{l};
-        if (it != sent.end() && it->second.instance_expiry > now) {
-          score = score_previously_sent(it->second.diversity,
-                                        it->second.instance_expiry - now,
+        if (sent != nullptr && sent->instance_expiry > now) {
+          score = score_previously_sent(sent->diversity,
+                                        sent->instance_expiry - now,
                                         config_.pcb_lifetime, params);
         } else {
           const double d = diversity_score(table, link_path, params);

@@ -3,7 +3,9 @@
 #include "util/check.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <stdexcept>
 
 namespace scion::ctrl {
 
@@ -17,7 +19,22 @@ std::size_t home_slot(topo::LinkIndex link, std::size_t mask) {
          mask;
 }
 
+/// log(c) for 0 < c < kLogTableSize (entry 0 unused).
+const std::array<double, kLogTableSize> kLogTable = [] {
+  std::array<double, kLogTableSize> t{};
+  for (std::int32_t c = 1; c < kLogTableSize; ++c) {
+    t[c] = std::log(static_cast<double>(c));
+  }
+  return t;
+}();
+
 }  // namespace
+
+double log_count(std::int32_t count) {
+  SCION_DCHECK(count > 0, "log of a zero counter");
+  return count < kLogTableSize ? kLogTable[count]
+                               : std::log(static_cast<double>(count));
+}
 
 std::size_t LinkHistoryTable::probe(topo::LinkIndex link) const {
   const std::size_t mask = slots_.size() - 1;
@@ -79,7 +96,7 @@ double LinkHistoryTable::geometric_mean(
   for (topo::LinkIndex l : links) {
     const int c = counter(l);
     if (c == 0) return 0.0;  // a single new link makes the path fully fresh
-    log_sum += std::log(static_cast<double>(c));
+    log_sum += log_count(c);
   }
   return std::exp(log_sum / static_cast<double>(links.size()));
 }
@@ -125,6 +142,86 @@ double latency_factor(std::uint64_t path_latency_us,
   if (params.latency_weight <= 0.0) return 1.0;
   const double latency_ms = static_cast<double>(path_latency_us) / 1000.0;
   return std::pow(2.0, -params.latency_weight * latency_ms / 50.0);
+}
+
+std::size_t SentPcbsList::home(const SentKey& key) const {
+  return static_cast<std::size_t>(SentKeyHash{}(key) >> 32) &
+         (index_.size() - 1);
+}
+
+std::size_t SentPcbsList::probe(const SentKey& key) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(key);
+  while (index_[i] != kEmpty && !(entries_[index_[i]].key == key)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+const SentRecord* SentPcbsList::find(const SentKey& key) const {
+  if (index_.empty()) return nullptr;
+  const std::uint32_t id = index_[probe(key)];
+  return id == kEmpty ? nullptr : &entries_[id].record;
+}
+
+SentRecord* SentPcbsList::find(const SentKey& key) {
+  return const_cast<SentRecord*>(std::as_const(*this).find(key));
+}
+
+const SentRecord& SentPcbsList::at(const SentKey& key) const {
+  const SentRecord* record = find(key);
+  if (record == nullptr) throw std::out_of_range("SentPcbsList::at");
+  return *record;
+}
+
+std::pair<SentRecord*, bool> SentPcbsList::try_emplace(const SentKey& key) {
+  SCION_DCHECK(key.egress != topo::kInvalidLinkIndex,
+               "the invalid egress marks erased entries");
+  if (2 * (size() + 1) > index_.size()) {
+    // Re-index every live entry into a doubled index.
+    index_.assign(index_.empty() ? 16 : 2 * index_.size(), kEmpty);
+    for (std::uint32_t id = 0; id < entries_.size(); ++id) {
+      if (entries_[id].key.egress != topo::kInvalidLinkIndex) {
+        index_[probe(entries_[id].key)] = id;
+      }
+    }
+  }
+  const std::size_t slot = probe(key);
+  if (index_[slot] != kEmpty) return {&entries_[index_[slot]].record, false};
+  std::uint32_t id;
+  if (free_.empty()) {
+    SCION_CHECK(entries_.size() < kEmpty, "Sent PCBs List id space exhausted");
+    id = static_cast<std::uint32_t>(entries_.size());
+    entries_.push_back(Entry{key, SentRecord{}});
+  } else {
+    id = free_.back();
+    free_.pop_back();
+    entries_[id] = Entry{key, SentRecord{}};
+  }
+  index_[slot] = id;
+  return {&entries_[id].record, true};
+}
+
+bool SentPcbsList::erase(const SentKey& key) {
+  if (index_.empty()) return false;
+  std::size_t hole = probe(key);
+  const std::uint32_t id = index_[hole];
+  if (id == kEmpty) return false;
+  entries_[id].key.egress = topo::kInvalidLinkIndex;
+  free_.push_back(id);
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole unless that would move them before their home slot.
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; index_[j] != kEmpty;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(entries_[index_[j]].key);
+    if (((j - h) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = kEmpty;
+  return true;
 }
 
 }  // namespace scion::ctrl

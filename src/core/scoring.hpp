@@ -30,7 +30,7 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "topology/ids.hpp"
@@ -132,6 +132,14 @@ class LinkHistoryTable {
   std::size_t nonzero_{0};  // slots holding a nonzero counter
 };
 
+/// Counts below this take their logarithm from a table (log_count).
+inline constexpr std::int32_t kLogTableSize = 1024;
+
+/// std::log(count) for a positive counter: read from a table filled at
+/// start-up by the same std::log call for counts below kLogTableSize, so
+/// the result is bit-identical either way.
+double log_count(std::int32_t count);
+
 /// Diversity score in [0, 1]; 1 = fully disjoint from previously sent
 /// paths, 0 = at or beyond the acceptable redundancy.
 double diversity_score(const LinkHistoryTable& history,
@@ -164,7 +172,9 @@ struct SentRecord {
   /// Timestamps of the instance that was sent.
   TimePoint instance_timestamp;
   TimePoint instance_expiry;
-  /// The path's links including the egress link (for counter decrement).
+  /// The path's canonical links including the egress link, for the counter
+  /// decrement at expiry. Filled only when decrement_on_expiry is set;
+  /// empty otherwise.
   std::vector<topo::LinkIndex> links;
 };
 
@@ -185,6 +195,49 @@ struct SentKeyHash {
   }
 };
 
-using SentPcbsList = std::unordered_map<SentKey, SentRecord, SentKeyHash>;
+/// The Sent PCBs Lists of one beacon server, all egress interfaces in one
+/// table keyed by path+egress. Records live in a dense vector (erased ones
+/// are reused through a free list) behind an open-addressed index of
+/// record ids: power-of-two capacity, linear probing, load at most 1/2,
+/// and backward-shift erase, so lookups never meet a tombstone. A record
+/// pointer stays valid until the next try_emplace.
+class SentPcbsList {
+ public:
+  /// The record of `key`, or null when there is none.
+  const SentRecord* find(const SentKey& key) const;
+  SentRecord* find(const SentKey& key);
+
+  /// The record of `key`; throws std::out_of_range when there is none.
+  const SentRecord& at(const SentKey& key) const;
+
+  std::size_t count(const SentKey& key) const { return find(key) ? 1 : 0; }
+  std::size_t size() const { return entries_.size() - free_.size(); }
+  bool empty() const { return size() == 0; }
+
+  /// The record of `key` and true when this call inserted it (a
+  /// value-initialized record), or the existing record and false.
+  std::pair<SentRecord*, bool> try_emplace(const SentKey& key);
+
+  /// Removes the record of `key`; returns whether there was one.
+  bool erase(const SentKey& key);
+
+ private:
+  struct Entry {
+    SentKey key;  // egress kInvalidLinkIndex: erased, its id on free_
+    SentRecord record;
+  };
+
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  /// Home slot of `key` in the index.
+  std::size_t home(const SentKey& key) const;
+  /// Index slot holding `key`'s record id, or the empty slot ending its
+  /// probe sequence. Requires a non-empty index.
+  std::size_t probe(const SentKey& key) const;
+
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> free_;   // ids of erased entries
+  std::vector<std::uint32_t> index_;  // record ids; kEmpty = empty slot
+};
 
 }  // namespace scion::ctrl

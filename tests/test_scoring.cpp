@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <unordered_map>
 
 #include "core/scoring.hpp"
+#include "util/rng.hpp"
 
 namespace scion::ctrl {
 namespace {
@@ -84,6 +90,150 @@ TEST(LinkHistoryTable, ManySparseLinksSurviveGrowth) {
   EXPECT_EQ(table.distinct_links(), 300u);
   EXPECT_EQ(table.counter(all[299]), 1);
   EXPECT_EQ(table.counter(all[300]), 0);
+}
+
+// Every table entry, and the first counts past the table, must equal the
+// libm logarithm bit for bit: scores may not depend on which side of the
+// table a counter falls.
+TEST(LinkHistoryTable, LogTableMatchesLibmBitForBit) {
+  for (std::int32_t c = 1; c < kLogTableSize + 64; ++c) {
+    volatile double x = static_cast<double>(c);  // forces a runtime libm call
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(log_count(c)),
+              std::bit_cast<std::uint64_t>(std::log(x)))
+        << "count " << c;
+  }
+}
+
+// --- Sent PCBs List ------------------------------------------------------------
+
+// Equal records, doubles compared bit for bit.
+void expect_same_record(const SentRecord& got, const SentRecord& want) {
+  EXPECT_EQ(got.origin, want.origin);
+  EXPECT_EQ(got.neighbor, want.neighbor);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.diversity),
+            std::bit_cast<std::uint64_t>(want.diversity));
+  EXPECT_EQ(got.instance_timestamp, want.instance_timestamp);
+  EXPECT_EQ(got.instance_expiry, want.instance_expiry);
+  EXPECT_EQ(got.links, want.links);
+}
+
+using SentReference = std::unordered_map<SentKey, SentRecord, SentKeyHash>;
+
+void expect_same_list(const SentPcbsList& list, const SentReference& ref) {
+  ASSERT_EQ(list.size(), ref.size());
+  EXPECT_EQ(list.empty(), ref.empty());
+  for (const auto& [key, record] : ref) {
+    const SentRecord* got = list.find(key);
+    ASSERT_NE(got, nullptr) << key.path_key << "/" << key.egress;
+    expect_same_record(*got, record);
+  }
+}
+
+SentRecord random_record(util::Rng& rng) {
+  SentRecord r;
+  r.origin = topo::IsdAsId::make(1, static_cast<std::uint64_t>(rng.uniform_int(1, 9)));
+  r.neighbor =
+      topo::IsdAsId::make(2, static_cast<std::uint64_t>(rng.uniform_int(1, 9)));
+  r.diversity = rng.uniform();
+  r.instance_timestamp =
+      util::TimePoint::origin() + Duration::seconds(rng.uniform_int(0, 1000));
+  r.instance_expiry = r.instance_timestamp + Duration::hours(6);
+  const auto n = static_cast<std::size_t>(rng.uniform_int(0, 4));
+  for (std::size_t i = 0; i < n; ++i) {
+    r.links.push_back(static_cast<topo::LinkIndex>(rng.uniform_int(0, 50)));
+  }
+  return r;
+}
+
+// Seeded insert / refresh / erase / lookup sequences against a
+// std::unordered_map reference. The key universe is small enough that keys
+// come and go many times, and large enough that the index grows several
+// times over.
+TEST(SentPcbsList, MatchesUnorderedMapReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    util::Rng rng{seed};
+    SentPcbsList list;
+    SentReference ref;
+    const auto universe = static_cast<std::int64_t>(64u << seed);
+    const auto random_key = [&] {
+      // Path keys spread like hash values; few egress links, as in a server.
+      const auto i = static_cast<std::uint64_t>(rng.uniform_int(0, universe));
+      return SentKey{(i >> 2) * 0x9E3779B97F4A7C15ULL,
+                     static_cast<topo::LinkIndex>(i & 3)};
+    };
+    for (int op = 0; op < 20000; ++op) {
+      const SentKey key = random_key();
+      const double dice = rng.uniform();
+      // Inserts outnumber erases early on, so the list grows, then shrinks.
+      const double insert_share = op < 10000 ? 0.7 : 0.3;
+      if (dice < insert_share) {
+        const auto [record, inserted] = list.try_emplace(key);
+        const auto [it, ref_inserted] = ref.try_emplace(key);
+        ASSERT_EQ(inserted, ref_inserted);
+        if (inserted) expect_same_record(*record, SentRecord{});
+        if (inserted || rng.bernoulli(0.5)) {
+          *record = random_record(rng);  // first send or re-send
+        } else {
+          record->instance_expiry = record->instance_expiry + Duration::minutes(10);
+        }
+        it->second = *record;
+      } else if (dice < insert_share + 0.25) {
+        ASSERT_EQ(list.erase(key), ref.erase(key) == 1);
+      } else {
+        const SentRecord* got = list.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(got != nullptr, it != ref.end());
+        EXPECT_EQ(list.count(key), ref.count(key));
+        if (got != nullptr) expect_same_record(*got, it->second);
+      }
+      ASSERT_EQ(list.size(), ref.size());
+      if (op % 997 == 0) expect_same_list(list, ref);
+    }
+    expect_same_list(list, ref);
+    // Drain it completely, then refill: ids come back off the free list.
+    std::vector<SentKey> keys;
+    for (const auto& [key, record] : ref) keys.push_back(key);
+    for (const SentKey& key : keys) ASSERT_TRUE(list.erase(key));
+    EXPECT_TRUE(list.empty());
+    EXPECT_FALSE(list.erase(keys.front()));
+    for (const SentKey& key : keys) ASSERT_TRUE(list.try_emplace(key).second);
+    EXPECT_EQ(list.size(), keys.size());
+  }
+}
+
+// Probe runs that wrap from the last index slot to the first: erasing any
+// member must keep every other member reachable (backward-shift erase).
+TEST(SentPcbsList, EraseAcrossTheWrapAround) {
+  // A fresh list indexes up to 8 records in 16 slots; find keys whose home
+  // (the top hash bits, as SentPcbsList uses them) is one of the last two.
+  std::vector<SentKey> tail;
+  for (std::uint64_t k = 1; tail.size() < 6; ++k) {
+    const SentKey key{k, 7};
+    if (((SentKeyHash{}(key) >> 32) & 15) >= 14) tail.push_back(key);
+  }
+  for (std::size_t victim = 0; victim < tail.size(); ++victim) {
+    SentPcbsList list;
+    for (const SentKey& key : tail) {
+      list.try_emplace(key).first->diversity = static_cast<double>(key.path_key);
+    }
+    ASSERT_TRUE(list.erase(tail[victim]));
+    EXPECT_EQ(list.find(tail[victim]), nullptr);
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+      if (i == victim) continue;
+      const SentRecord* r = list.find(tail[i]);
+      ASSERT_NE(r, nullptr) << "lost key " << i << " erasing " << victim;
+      EXPECT_EQ(r->diversity, static_cast<double>(tail[i].path_key));
+    }
+    EXPECT_EQ(list.size(), tail.size() - 1);
+  }
+}
+
+TEST(SentPcbsList, AtThrowsForMissingKeys) {
+  SentPcbsList list;
+  EXPECT_THROW(list.at(SentKey{1, 2}), std::out_of_range);
+  list.try_emplace(SentKey{1, 2}).first->diversity = 0.25;
+  EXPECT_EQ(list.at(SentKey{1, 2}).diversity, 0.25);
+  EXPECT_THROW(list.at(SentKey{1, 3}), std::out_of_range);
 }
 
 TEST(DiversityScore, FullyFreshPathScoresOne) {
