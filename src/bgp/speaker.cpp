@@ -227,10 +227,9 @@ void Speaker::queue_change(std::size_t idx, Row& row, AsPath path) {
     // Already queued since the last flush: the newer change replaces it.
     PendingChange& change = n.pending[slot.pending - 1];
     change.path = std::move(path);
-    change.cancelled = false;
   } else {
     n.pending.push_back(
-        PendingChange{row.prefix, row_id(row), std::move(path), false});
+        PendingChange{row.prefix, row_id(row), std::move(path)});
     slot.pending = static_cast<std::uint32_t>(n.pending.size());
   }
   arm_mrai(idx);
@@ -260,12 +259,9 @@ void Speaker::sync_neighbor(std::size_t idx, Row& row) {
   } else if (slot.out) {
     slot.out = nullptr;
     queue_change(idx, row, nullptr);  // withdraw
-  } else if (slot.pending != 0) {
-    // Neither advertised nor to be advertised; drop any queued change.
-    PendingChange& change = neighbors_[idx].pending[slot.pending - 1];
-    change.path = nullptr;
-    change.cancelled = true;
   }
+  // Otherwise nothing is advertised and nothing is to be: a pending change
+  // here can only be a withdrawal, which must still go out.
 }
 
 void Speaker::reevaluate(Prefix p) {
@@ -513,11 +509,11 @@ void Speaker::flush(std::size_t idx) {
   std::vector<Prefix> withdrawals;
   for (const PendingChange& change : n.pending) {
     rows_[change.row].slots[idx].pending = 0;
-    if (!change.cancelled && !change.path) withdrawals.push_back(change.prefix);
+    if (!change.path) withdrawals.push_back(change.prefix);
   }
   bool first = true;
   for (PendingChange& change : n.pending) {
-    if (change.cancelled || !change.path) continue;
+    if (!change.path) continue;
     // An announced path is the prefix's own Adj-RIB-Out entry, built by its
     // row: paths to different prefixes are different objects, so grouping
     // announcements by path could never merge two prefixes into one UPDATE.

@@ -219,8 +219,7 @@ class Speaker {
   struct PendingChange {
     Prefix prefix;
     std::uint32_t row;
-    AsPath path;            // null = withdraw
-    bool cancelled{false};  // nothing to send after all
+    AsPath path;  // null = withdraw
   };
 
   struct NeighborState {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <initializer_list>
@@ -258,9 +259,9 @@ struct SpeakerFixture : ::testing::Test {
   std::vector<std::pair<topo::AsIndex, BgpUpdateMsg>> sent;
   std::unique_ptr<Speaker> speaker;
 
-  void make(SpeakerOptions options) {
-    std::vector<Speaker::NeighborInfo> nbrs{
-        {1, Relationship::kCustomer}, {2, Relationship::kCustomer}};
+  void make(SpeakerOptions options,
+            std::vector<Speaker::NeighborInfo> nbrs = {
+                {1, Relationship::kCustomer}, {2, Relationship::kCustomer}}) {
     speaker = std::make_unique<Speaker>(
         0, nbrs, options,
         [this](topo::AsIndex n, BgpUpdateMsg m) {
@@ -290,6 +291,44 @@ struct SpeakerFixture : ::testing::Test {
     simulator.run_until(util::TimePoint::origin() + since_origin);
   }
 };
+
+/// Prefixes withdrawn from `to` by the UPDATEs sent to it so far.
+std::vector<Prefix> withdrawn_to(
+    const std::vector<std::pair<topo::AsIndex, BgpUpdateMsg>>& sent,
+    topo::AsIndex to) {
+  std::vector<Prefix> out;
+  for (const auto& [n, msg] : sent) {
+    if (n == to) out.insert(out.end(), msg.withdrawn.begin(), msg.withdrawn.end());
+  }
+  return out;
+}
+
+// A queued withdrawal must survive later re-decisions before the MRAI
+// flush that still leave the neighbour without an exportable route.
+TEST_F(SpeakerFixture, QueuedWithdrawalSurvivesReDecisionBeforeFlush) {
+  make(SpeakerOptions{}, {{1, Relationship::kCustomer},
+                          {2, Relationship::kProvider},
+                          {3, Relationship::kPeer}});
+  announce(1, 5, {1, 5});  // customer route: exported to the provider
+  simulator.run();
+  ASSERT_TRUE(std::any_of(sent.begin(), sent.end(), [](const auto& s) {
+    return s.first == 2 && s.second.announced == std::vector<Prefix>{5};
+  }));
+  sent.clear();
+
+  // The peer's route takes over when the customer withdraws. It may not be
+  // exported to the provider, so the provider's route is withdrawn...
+  announce(3, 5, {3, 5});
+  withdraw(1, 5);
+  ASSERT_TRUE(speaker->best(5).has_value());
+  EXPECT_EQ(speaker->best(5)->neighbor, 3u);
+  // ...and a second best change within the MRAI window must not cancel it.
+  announce(3, 5, {3, 8, 5});
+  simulator.run();
+  EXPECT_EQ(withdrawn_to(sent, 2), std::vector<Prefix>{5});
+  EXPECT_EQ(withdrawn_to(sent, 3), std::vector<Prefix>{5})
+      << "the peer itself no longer gets our customer route either";
+}
 
 TEST_F(SpeakerFixture, DampingSuppressesAndReusesAfterDecay) {
   SpeakerOptions options;
@@ -526,7 +565,9 @@ struct Fnv1a {
 // damping, graceful restart, session restarts and churn all engaged. The
 // expected hashes were recorded with the RIB kept as per-prefix maps (one
 // Adj-RIB-In map, a Loc-RIB map, and per-neighbor Adj-RIB-Out and pending
-// maps) and UPDATEs grouped by path object; any layout change must
+// maps) and UPDATEs grouped by path object, then re-recorded once when a
+// queued withdrawal stopped being cancelled by a second re-decision before
+// the MRAI flush (17004 -> 17069 UPDATEs); any layout change must
 // reproduce them exactly.
 TEST(BgpSim, PinnedAccountsAndRoutesUnderChurn) {
   topo::HierarchyConfig h;
@@ -579,9 +620,9 @@ TEST(BgpSim, PinnedAccountsAndRoutesUnderChurn) {
       for (const Speaker::Route& r : multipath) routes.add(r);
     }
   }
-  EXPECT_EQ(sim.total_updates_sent(), 17004u);
-  EXPECT_EQ(accounts.h, 14730199424560758643ULL);
-  EXPECT_EQ(routes.h, 15459443083175205050ULL);
+  EXPECT_EQ(sim.total_updates_sent(), 17069u);
+  EXPECT_EQ(accounts.h, 2760056107918640235ULL);
+  EXPECT_EQ(routes.h, 12888427862472836154ULL);
 }
 
 }  // namespace
