@@ -164,10 +164,6 @@ const SentRecord* SentPcbsList::find(const SentKey& key) const {
   return id == kEmpty ? nullptr : &entries_[id].record;
 }
 
-SentRecord* SentPcbsList::find(const SentKey& key) {
-  return const_cast<SentRecord*>(std::as_const(*this).find(key));
-}
-
 const SentRecord& SentPcbsList::at(const SentKey& key) const {
   const SentRecord* record = find(key);
   if (record == nullptr) throw std::out_of_range("SentPcbsList::at");
@@ -188,10 +184,9 @@ std::pair<SentRecord*, bool> SentPcbsList::try_emplace(const SentKey& key) {
   }
   const std::size_t slot = probe(key);
   if (index_[slot] != kEmpty) return {&entries_[index_[slot]].record, false};
-  std::uint32_t id;
+  std::uint32_t id = static_cast<std::uint32_t>(entries_.size());
   if (free_.empty()) {
     SCION_CHECK(entries_.size() < kEmpty, "Sent PCBs List id space exhausted");
-    id = static_cast<std::uint32_t>(entries_.size());
     entries_.push_back(Entry{key, SentRecord{}});
   } else {
     id = free_.back();

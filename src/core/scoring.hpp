@@ -205,7 +205,6 @@ class SentPcbsList {
  public:
   /// The record of `key`, or null when there is none.
   const SentRecord* find(const SentKey& key) const;
-  SentRecord* find(const SentKey& key);
 
   /// The record of `key`; throws std::out_of_range when there is none.
   const SentRecord& at(const SentKey& key) const;

@@ -1,5 +1,6 @@
-// Fixed-seed micro-runs of the four simulation pipelines (beaconing, the
-// full control plane, BGP, BGP under churn with its survival mechanisms).
+// Fixed-seed micro-runs of the simulation pipelines (baseline and diversity
+// beaconing, the full control plane, BGP, BGP under churn with its survival
+// mechanisms).
 // Shared by the allocation budgets (test_alloc_budget.cpp) and the exact
 // event-attribution gate (test_obs.cpp), so both gates measure the same
 // runs.
@@ -58,20 +59,38 @@ inline topo::Topology multi_isd_world() {
   return topo::generate_multi_isd(config);
 }
 
-/// Events: PCBs received at beacon servers.
-inline MicroRun beaconing() {
+/// Core beaconing on beaconing_world(). Events: PCBs received at beacon
+/// servers.
+inline MicroRun beaconing_run(const ctrl::BeaconingSimConfig& config) {
   const topo::Topology world = beaconing_world();
-  ctrl::BeaconingSimConfig config;
-  config.server.interval = util::Duration::minutes(10);
-  config.server.pcb_lifetime = util::Duration::hours(6);
-  config.sim_duration = util::Duration::hours(1);
-  config.seed = 42;
-
   ctrl::BeaconingSim sim{world, config};
   MicroRun r;
   r.allocs = count_allocs([&] { sim.run(); }).first;
   r.events = sim.aggregate_stats().pcbs_received;
   return r;
+}
+
+/// Baseline algorithm, shortest-fresh store.
+inline MicroRun beaconing() {
+  ctrl::BeaconingSimConfig config;
+  config.server.interval = util::Duration::minutes(10);
+  config.server.pcb_lifetime = util::Duration::hours(6);
+  config.sim_duration = util::Duration::hours(1);
+  config.seed = 42;
+  return beaconing_run(config);
+}
+
+/// Diversity algorithm, diversity-aware store. A one-hour PCB lifetime
+/// over three hours makes sent records expire and paths go out again.
+inline MicroRun beaconing_diversity() {
+  ctrl::BeaconingSimConfig config;
+  config.server.algorithm = ctrl::AlgorithmKind::kDiversity;
+  config.server.store_policy = ctrl::StorePolicy::kDiversityAware;
+  config.server.interval = util::Duration::minutes(10);
+  config.server.pcb_lifetime = util::Duration::hours(1);
+  config.sim_duration = util::Duration::hours(3);
+  config.seed = 42;
+  return beaconing_run(config);
 }
 
 /// Events: PCBs received by core and intra-ISD servers plus endpoint

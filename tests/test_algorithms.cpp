@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "core/algorithms.hpp"
+#include "obs/alloc_track.hpp"
 #include "util/rng.hpp"
 
 namespace scion::ctrl {
@@ -458,6 +459,28 @@ TEST(DiversityExpiry, CopyExpiresIndependently) {
   EXPECT_EQ(copy.sent().size(), 1u);
 }
 
+// With cumulative counters a sent record holds no heap memory of its own:
+// once the list has grown, a send into a freed slot allocates nothing.
+TEST(DiversityExpiry, SendsIntoFreedSlotsAllocateNothing) {
+  DiversityState state{DiversityParams{}};
+  const std::vector<topo::LinkIndex> links{1, 2, 100};
+  const auto send_round = [&](std::uint64_t first_key, TimePoint at) {
+    for (std::uint64_t k = first_key; k < first_key + 1000; ++k) {
+      state.commit_send(SentKey{k, 100}, kOrigin, kNeighbor, links, at,
+                        at + kLifetime, at);
+    }
+  };
+  const TimePoint t0 = TimePoint::origin();
+  send_round(0, t0);
+  state.expire(t0 + kLifetime);
+  ASSERT_TRUE(state.sent().empty());
+
+  const std::uint64_t before = obs::thread_allocs();
+  send_round(1'000'000, t0 + kLifetime);
+  EXPECT_EQ(obs::thread_allocs() - before, 0u);
+  EXPECT_EQ(state.sent().size(), 1000u);
+}
+
 // --- Equivalence with the map-based implementation --------------------------------
 
 /// The diversity algorithm as it stood with the Sent PCBs List in a
@@ -766,9 +789,16 @@ void expect_equivalent_runs(const EquivalenceCase& tc) {
   std::vector<std::vector<std::vector<topo::LinkIndex>>> pools(origins.size());
   for (auto& pool : pools) {
     for (int p = 0; p < 12; ++p) {
+      // Distinct links: make_stored puts one AS behind each, and a PCB
+      // must not visit an AS twice.
       std::vector<topo::LinkIndex> path;
-      const auto hops = rng.uniform_int(1, 5);
-      for (std::int64_t h = 0; h < hops; ++h) path.push_back(link(0, 39));
+      const auto hops = static_cast<std::size_t>(rng.uniform_int(1, 5));
+      while (path.size() < hops) {
+        const topo::LinkIndex l = link(0, 39);
+        if (std::find(path.begin(), path.end(), l) == path.end()) {
+          path.push_back(l);
+        }
+      }
       pool.push_back(std::move(path));
     }
   }

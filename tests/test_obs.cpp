@@ -575,6 +575,7 @@ TEST(ObsEventProfile, EveryPipelineAttributesAllEvents) {
   EventProfiler::global().set_enabled(true);
   const std::pair<const char*, micro::MicroRun (*)()> runs[] = {
       {"beaconing", micro::beaconing},
+      {"beaconing-diversity", micro::beaconing_diversity},
       {"control-plane", micro::control_plane},
       {"bgp", micro::bgp},
       {"churn", micro::churn_survival}};
