@@ -42,11 +42,11 @@ using micro::count_allocs;
 // resolve -> score -> store admission). Measured 3.910 / 3.910.
 constexpr double kBeaconingBudget = 4.41;
 // Diversity beaconing: the same, plus Algorithm 1's selection, Sent PCBs
-// List and expiry sweep each interval. Measured 5.690 / 5.582. With a
-// map node and a link vector per sent record it measured 6.353 / 6.246;
-// with the link vector alone 6.088 alone, inside this budget, which is
-// why DiversityExpiry.SendsIntoFreedSlotsAllocateNothing gates sent
-// records exactly.
+// List and expiry sweep each interval. Measured 5.690 / 5.582. A map node
+// and a link vector per sent record measured 6.353 / 6.246, but the link
+// vector alone only 6.088 (run alone), inside this budget; so
+// DiversityExpiry.SendsIntoFreedSlotsAllocateNothing gates sent records
+// exactly.
 constexpr double kDiversityBeaconingBudget = 6.19;
 // Control plane: per control-plane event (PCBs received by core+intra
 // servers plus endpoint lookups; lookup-side path assembly dominates).
@@ -59,8 +59,8 @@ constexpr double kBgpBudget = 7.13;
 // the survival bookkeeping (lazy penalty decay, reuse timers, stale
 // marking/sweeps) must stay O(1) amortized per UPDATE — damping state nodes
 // appear once per flapped adjacency and reuse/GR timers once per episode,
-// not per update. Measured 4.266 / 4.179 (queued withdrawals are no longer
-// dropped before the MRAI flush; 4.201 / 4.115 before that).
+// not per update. Measured 4.266 / 4.179. The budget predates sending
+// every queued withdrawal (then 4.201 / 4.115) and is kept, not loosened.
 constexpr double kChurnBgpBudget = 4.71;
 
 void expect_within_budget(std::string_view phase, const micro::MicroRun& run,
